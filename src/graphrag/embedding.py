@@ -11,6 +11,7 @@ import hashlib
 import logging
 import os
 from abc import ABC, abstractmethod
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +23,12 @@ from .textnorm import tokenize
 log = logging.getLogger(__name__)
 
 DEFAULT_DIM = 256
+
+
+@lru_cache(maxsize=1 << 16)
+def _token_hash(token: str) -> int:
+    """Stable 64-bit hash of a token: the first 8 bytes of its sha1."""
+    return int.from_bytes(hashlib.sha1(token.encode("utf-8")).digest()[:8], "big")
 
 
 def cosine(u: Sequence[float], v: Sequence[float]) -> float:
@@ -69,8 +76,7 @@ class HashingEmbedder(EmbeddingClient):
         self.dim = dim
 
     def _bucket(self, token: str) -> int:
-        digest = hashlib.sha1(token.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big") % self.dim
+        return _token_hash(token) % self.dim
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         out = []

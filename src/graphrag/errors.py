@@ -39,3 +39,7 @@ class ConfigError(GraphRagError):
 
 class BenchmarkError(GraphRagError):
     """Benchmark file is malformed or yields no usable queries."""
+
+
+class QueryError(GraphRagError, ValueError):
+    """Query text cannot be analyzed (for example, it has no tokens)."""

@@ -24,7 +24,7 @@ import numpy as np
 
 from .community import Community, CommunityReport
 from .embedding import EmbeddingClient, RerankClient, VectorStore, cosine
-from .errors import GraphRagError
+from .errors import GraphRagError, QueryError
 from .graph_store import KnowledgeGraph
 from .textnorm import stopwords, tokenize
 
@@ -165,12 +165,12 @@ def compute_beta(query: str, trie: EntityTrie, cfg: FusionConfig | None = None) 
     Density is the fraction of query tokens covered by entity spans.
     Abstraction is the Shannon entropy (natural log) of the unigram
     distribution over non-entity, non-stop-word tokens; zero when none
-    remain. Raises ValueError for a tokenless query.
+    remain. Raises QueryError (a ValueError) for a tokenless query.
     """
     cfg = cfg or FusionConfig()
     tokens = tokenize(query)
     if not tokens:
-        raise ValueError("query has no tokens")
+        raise QueryError("query has no tokens")
     links = link_entities(query, trie)
     spans = {(link.span[0], link.span[1]) for link in links}
     covered_idx: set[int] = set()

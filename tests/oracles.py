@@ -2,7 +2,8 @@
 
 Everything here favors clarity over speed: literal double sums, exhaustive
 enumeration, full sorts. Nothing imports package internals, so a bug cannot
-hide in shared code.
+hide in shared code; the one package-shaped oracle below takes the package
+pieces it needs as arguments.
 """
 
 from __future__ import annotations
@@ -85,6 +86,92 @@ def modularity_oracle(
             if i != j:
                 total += alpha * jaccard_attrs(attrs.get(i, {}), attrs.get(j, {}))
     return total / (2.0 * m)
+
+
+# -- local moves ---------------------------------------------------------------------------
+
+
+def local_move_pass(
+    nodes: Sequence[int],
+    weights: Mapping[Pair, float],
+    attrs: Mapping[int, Mapping[str, Sequence[str]]],
+    alpha: float,
+    tie: float = 1e-9,
+) -> tuple[dict[int, int], bool]:
+    """The optimizer's first local-move phase, every move scored by
+    recomputing the whole metric.
+
+    Each node starts in its own community, labeled by its id. Sweeps visit
+    nodes in ascending order until one makes no move; a node may join only a
+    community holding one of its graph neighbors, takes the largest positive
+    metric gain, and breaks exact ties toward the lowest label. Returns the
+    final assignment and whether any decision had its best two deltas (staying
+    counts as delta 0) within ``tie`` of each other, where float rounding may
+    legitimately pick either.
+    """
+    neighbors: dict[int, set[int]] = {n: set() for n in nodes}
+    for i, j in weights:
+        neighbors[i].add(j)
+        neighbors[j].add(i)
+    assignment = {n: n for n in nodes}
+    ambiguous = False
+    improved = True
+    while improved:
+        improved = False
+        for v in sorted(nodes):
+            own = assignment[v]
+            current = modularity_oracle(nodes, weights, attrs, assignment, alpha)
+            deltas = {own: 0.0}
+            for c in sorted({assignment[u] for u in neighbors[v]} - {own}):
+                trial = dict(assignment)
+                trial[v] = c
+                deltas[c] = modularity_oracle(nodes, weights, attrs, trial, alpha) - current
+            ranked = sorted(deltas.values(), reverse=True)
+            if len(ranked) > 1 and ranked[0] - ranked[1] <= tie:
+                ambiguous = True
+            best, best_delta = own, 0.0
+            for c in sorted(deltas):  # strict > keeps the lowest label on a tie
+                if c != own and deltas[c] > best_delta:
+                    best, best_delta = c, deltas[c]
+            if best != own:
+                assignment[v] = best
+                improved = True
+    return assignment, ambiguous
+
+
+def pairwise_initial_level(graph, scope: str, level_cls, similarity):
+    """The optimizer's first level built the quadratic way: ``similarity``
+    called on every node pair ("full") or every pair within two hops
+    ("2hop"). ``level_cls`` and ``similarity`` are the package's level type
+    and attribute-similarity function."""
+    nodes = graph.node_ids()
+    index = {node: i for i, node in enumerate(nodes)}
+    level = level_cls(len(nodes))
+    adj = graph.undirected_adjacency()
+    for node in nodes:
+        i = index[node]
+        level.members[i] = [node]
+        for other in sorted(adj[node]):
+            level.adj[i][index[other]] = adj[node][other]
+    attrs = [graph.node(node).attributes for node in nodes]
+    if scope == "full":
+        pairs = [(i, j) for i in range(len(nodes)) for j in range(i + 1, len(nodes))]
+    else:
+        pairs = []
+        for node in nodes:
+            i = index[node]
+            near = set(graph.neighbors(node))
+            for nb in sorted(near):
+                near = near | graph.neighbors(nb)
+            near.discard(node)
+            pairs.extend((i, index[other]) for other in sorted(near) if index[other] > i)
+    for i, j in pairs:
+        s = similarity(attrs[i], attrs[j])
+        if s > 0.0:
+            level.attr_adj[i][j] = s
+            level.attr_adj[j][i] = s
+    level.finish_degrees()
+    return level
 
 
 # -- partition enumeration ---------------------------------------------------------------

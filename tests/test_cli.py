@@ -150,6 +150,15 @@ class TestRetrieveCommand:
         payload = json.loads(capsys.readouterr().out)
         assert all(r["scores"]["graph"] == 0.0 for r in payload["results"])
 
+    def test_tokenless_query_is_a_clean_error(self, workspace, capsys):
+        cfg = workspace / "config.yaml"
+        run(["index", "--config", cfg])
+        run(["cluster", "--config", cfg])
+        capsys.readouterr()
+        assert run(["retrieve", "--config", cfg, "--query", "!!!"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: query has no tokens\n"
+
 
 class TestEvalCommand:
     def test_full_run(self, workspace, capsys):

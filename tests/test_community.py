@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, strategies as st
 
 import oracles
 from conftest import connected_graph, random_graph
+from graphrag import community
 from graphrag.community import (
     ClusterParams,
     Community,
@@ -160,12 +163,25 @@ class TestLouvain:
         p2 = louvain_cluster(g, ClusterParams(alpha=0.5, seed=11, attribute_scope="full"))
         assert p1.assignment == p2.assignment
 
-    def test_debug_check_validates_gains(self):
+    def test_first_pass_matches_metric_recomputing_oracle(self):
+        # every move gain must agree with the metric's own delta: one local-move
+        # phase has to land where the oracle that rescores the full metric does
         rng = random.Random(29)
-        g, _ = connected_graph(rng, 8)
-        params = ClusterParams(alpha=0.5, attribute_scope="full", debug_check=True)
-        part = louvain_cluster(g, params)  # raises AssertionError on any bad gain
-        assert part.community_count >= 1
+        checked = 0
+        for _ in range(60):
+            g, _ = connected_graph(rng, 8)
+            nodes, weights, attrs = oracles.snapshot(g)
+            for alpha in (0.5, 1.5):
+                want, ambiguous = oracles.local_move_pass(nodes, weights, attrs, alpha)
+                if ambiguous:
+                    continue  # near-tied deltas: rounding may pick either move
+                part = louvain_cluster(
+                    g, ClusterParams(alpha=alpha, max_passes=1, attribute_scope="full")
+                )
+                got = tuple(part.assignment[n] for n in nodes)
+                assert got == oracles.canonical_assignment(want)
+                checked += 1
+        assert checked >= 40
 
     def test_two_hop_scope_still_beats_singletons(self):
         rng = random.Random(31)
@@ -181,6 +197,64 @@ class TestLouvain:
         g.upsert_node("a", "T")
         with pytest.raises(UndefinedModularityError):
             louvain_cluster(g, ClusterParams())
+
+
+# raw key/value spellings: case, whitespace and empty variants of a few pairs
+RAW_KEYS = ("era", "Era", " ERA ", "region", "re  gion")
+RAW_VALUES = ("Han", "han", " HAN ", "Tang", "Warring  States", "warring states", "", "   ")
+
+
+@st.composite
+def attributed_graphs(draw) -> KnowledgeGraph:
+    """Small graphs whose nodes carry raw, un-normalized attribute maps:
+    multi-valued, spelling variants, empty values, or no attributes at all."""
+    n = draw(st.integers(min_value=2, max_value=10))
+    g = KnowledgeGraph()
+    ids = [g.upsert_node(f"n{i}", "Thing") for i in range(n)]
+    node = st.integers(min_value=0, max_value=n - 1)
+    for a, b in draw(st.lists(st.tuples(node, node), max_size=3 * n)):
+        g.add_edge(ids[a], "linked", ids[b])
+    values = st.lists(st.sampled_from(RAW_VALUES), max_size=3)
+    for nid in ids:
+        g.node(nid).attributes.update(draw(st.dictionaries(st.sampled_from(RAW_KEYS), values, max_size=3)))
+    return g
+
+
+def brute_force_attr_adj(graph: KnowledgeGraph, scope: str) -> list[dict[int, float]]:
+    nodes = graph.node_ids()
+    pairs = [(i, j) for i in range(len(nodes)) for j in range(len(nodes)) if i != j]
+    if scope == "2hop":
+        links = [(e.head, e.tail) for e in graph.edges()]
+        pairs = [(i, j) for i, j in pairs if nodes[j] in oracles.khop_nodes(links, nodes[i], 2)]
+    want: list[dict[int, float]] = [{} for _ in nodes]
+    for i, j in pairs:
+        s = attribute_similarity(graph.node(nodes[i]).attributes, graph.node(nodes[j]).attributes)
+        if s > 0.0:
+            want[i][j] = s
+    return want
+
+
+class TestAttributePairBuild:
+    @given(attributed_graphs(), st.sampled_from(("full", "2hop")))
+    def test_attr_adj_matches_brute_force(self, g, scope):
+        level = community._initial_level(g, scope)
+        assert level.attr_adj == brute_force_attr_adj(g, scope)
+
+    @given(attributed_graphs(), st.sampled_from(("full", "2hop")), st.sampled_from((0.5, 2.0)))
+    def test_partition_matches_pairwise_build(self, g, scope, alpha):
+        if g.total_weight() <= 0:
+            g.add_edge(g.node_ids()[0], "linked", g.node_ids()[1])
+        params = ClusterParams(alpha=alpha, attribute_scope=scope)
+        got = louvain_cluster(g, params)
+
+        def pairwise(graph, scope):
+            return oracles.pairwise_initial_level(
+                graph, scope, community._Level, attribute_similarity
+            )
+
+        with mock.patch.object(community, "_initial_level", pairwise):
+            want = louvain_cluster(g, params)
+        assert got == want
 
 
 class TestCompletion:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import re
 import shutil
+from pathlib import Path
 
 import pytest
 import yaml
@@ -12,6 +14,7 @@ from graphrag.config import load_config
 from graphrag.errors import ConfigError
 
 MUSEUM = FIXTURES / "museum"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def rewrite(tmp_path, mutate):
@@ -129,3 +132,16 @@ class TestConfigHash:
         base = load_config(MUSEUM / "config.yaml")
         changed = rewrite(tmp_path, lambda raw: raw["clustering"].update(alpha=0.9))
         assert load_config(changed).hash() != base.hash()
+
+
+def test_readme_example_loads(tmp_path):
+    text = README.read_text("utf-8")
+    section = text.split("## Configuration", 1)[1]
+    block = re.search(r"```yaml\n(.*?)```", section, re.S).group(1)
+    raw = yaml.safe_load(block)
+    raw["schema"] = str(MUSEUM / "schema.json")
+    raw["corpus"] = str(MUSEUM / "corpus")
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    cfg = load_config(path)
+    assert cfg.clustering.params.attribute_scope == "full"

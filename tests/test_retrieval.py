@@ -11,7 +11,7 @@ import pytest
 import oracles
 from graphrag.community import Community, edges_within, generate_report
 from graphrag.embedding import HashingEmbedder, TokenOverlapReranker, VectorStore
-from graphrag.errors import GraphRagError
+from graphrag.errors import GraphRagError, QueryError
 from graphrag.graph_store import Chunk, KnowledgeGraph
 from graphrag.pipeline import load_bundle, make_clients
 from graphrag.retrieval import (
@@ -149,6 +149,10 @@ class TestComputeBeta:
     def test_empty_query_rejected(self):
         with pytest.raises(ValueError):
             compute_beta("  ", build_trie(KnowledgeGraph()))
+
+    def test_tokenless_query_is_a_package_error(self):
+        with pytest.raises(QueryError):
+            compute_beta("!!!", build_trie(KnowledgeGraph()))
 
     def test_repeated_token_lowers_entropy(self):
         trie = build_trie(KnowledgeGraph())
