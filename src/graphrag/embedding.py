@@ -113,7 +113,14 @@ class TokenOverlapReranker(RerankClient):
 
 
 class VectorStore:
-    """Exact brute-force similarity store over (ref id, vector) pairs."""
+    """Exact brute-force similarity store over (ref id, vector) pairs.
+
+    Every score is computed with ``cosine``'s own arithmetic, one row at a
+    time from norms cached at ``add``, so it is bit-identical to calling
+    ``cosine`` on that row. A single mat-vec would be faster but its
+    blocked reductions give equal rows different low bits by position,
+    which would break the ref tie-break.
+    """
 
     def __init__(self, dim: int):
         if dim <= 0:
@@ -121,7 +128,11 @@ class VectorStore:
         self.dim = dim
         self._refs: list[str] = []
         self._vectors: list[np.ndarray] = []
+        self._norms: list[float] = []
         self._by_ref: dict[str, int] = {}
+        # derived from the rows; dropped by add() and rebuilt on first use
+        self._norm_array: np.ndarray | None = None
+        self._ref_rank: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self._refs)
@@ -135,24 +146,55 @@ class VectorStore:
         self._by_ref[ref] = len(self._refs)
         self._refs.append(ref)
         self._vectors.append(vec)
+        self._norms.append(float(np.linalg.norm(vec)))
+        self._norm_array = None
+        self._ref_rank = None
 
     def get(self, ref: str) -> np.ndarray | None:
         idx = self._by_ref.get(ref)
         return self._vectors[idx] if idx is not None else None
 
+    def position(self, ref: str) -> int | None:
+        """Row of ``ref`` in insertion order, the index into ``similarities``."""
+        return self._by_ref.get(ref)
+
     def refs(self) -> list[str]:
         return sorted(self._refs)
 
-    def items(self) -> list[tuple[str, np.ndarray]]:
-        return [(ref, self._vectors[self._by_ref[ref]]) for ref in sorted(self._by_ref)]
+    def similarities(self, query: Sequence[float]) -> np.ndarray:
+        """Cosine of ``query`` against every row, in insertion order; a zero
+        norm on either side scores 0.0. Equal to ``cosine(query, row)``."""
+        q = np.asarray(query, dtype=np.float64)
+        if q.shape != (self.dim,):
+            raise ValueError(f"dimension mismatch: {q.shape} vs ({self.dim},)")
+        q_norm = float(np.linalg.norm(q))
+        if q_norm == 0.0:
+            return np.zeros(len(self._vectors))
+        dots = np.fromiter(map(q.dot, self._vectors), dtype=np.float64, count=len(self._vectors))
+        if self._norm_array is None:
+            self._norm_array = np.array(self._norms, dtype=np.float64)
+        norms = self._norm_array
+        zero = norms == 0.0
+        sims = dots / np.where(zero, 1.0, q_norm * norms)
+        sims[zero] = 0.0
+        return sims
+
+    def rank(self, sims: np.ndarray, k: int) -> list[tuple[str, float]]:
+        """Top k of a ``similarities`` array, ordered by (score desc, ref asc)."""
+        if k <= 0:
+            return []
+        if self._ref_rank is None:
+            order = sorted(range(len(self._refs)), key=self._refs.__getitem__)
+            self._ref_rank = np.empty(len(order), dtype=np.int64)
+            self._ref_rank[order] = np.arange(len(order))
+        top = np.lexsort((self._ref_rank, -sims))[:k]
+        return [(self._refs[i], float(sims[i])) for i in top]
 
     def top_k(self, query: Sequence[float], k: int) -> list[tuple[str, float]]:
         """Exact top-k by cosine, ties broken by ref id ascending."""
         if k <= 0:
             return []
-        scored = [(ref, cosine(query, vec)) for ref, vec in self.items()]
-        scored.sort(key=lambda pair: (-pair[1], pair[0]))
-        return scored[:k]
+        return self.rank(self.similarities(query), k)
 
 
 class HttpEmbeddingClient(EmbeddingClient):

@@ -304,10 +304,10 @@ class KnowledgeGraph:
             if not nxt:
                 break
             frontier = nxt
-        edge_keys = tuple(
-            key for key in sorted(self._edges)
-            if key[0] in reached and key[1] in reached
-        )
+        edge_keys = tuple(sorted(
+            key for head in reached for key in self._out.get(head, ())
+            if key[1] in reached
+        ))
         return Subgraph(node_ids=frozenset(reached), edge_keys=edge_keys)
 
     # -- chunks ---------------------------------------------------------------

@@ -482,6 +482,11 @@ def load_bundle(cfg: PipelineConfig, index_dir: Path | None = None) -> IndexBund
     graph, manifest = load_index_graph(out)
     chunk_store = _load_embeddings(out, manifest)
     communities, reports = load_communities(out)
+    if chunk_store.dim != cfg.clients.embed_dim:
+        raise ConfigError(
+            f"index at {out} holds {chunk_store.dim}-dimensional embeddings but "
+            f"clients.embed_dim is {cfg.clients.embed_dim}; rebuild the index or fix the config"
+        )
     report_store = VectorStore(cfg.clients.embed_dim)
     for community in communities:
         report = reports[community.id]

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .community import Community, CommunityReport
-from .embedding import EmbeddingClient, RerankClient, VectorStore, cosine
+# cosine is re-exported: callers import it from this module as well
+from .embedding import EmbeddingClient, RerankClient, VectorStore, cosine  # noqa: F401
 from .errors import GraphRagError, QueryError
 from .graph_store import KnowledgeGraph
 from .textnorm import stopwords, tokenize
@@ -200,22 +201,29 @@ def compute_beta(query: str, trie: EntityTrie, cfg: FusionConfig | None = None) 
 # -- channel scores -----------------------------------------------------------------
 
 
-def score_graph_channel(
+def graph_channel_scores(
     analysis: QueryAnalysis,
-    chunk_id: str,
     graph: KnowledgeGraph,
     khop: int = 2,
-) -> float:
-    """Sum over linked entities of confidence times the fraction of the
-    entity's k-hop neighborhood with provenance in the chunk."""
-    if not graph.has_chunk(chunk_id):
-        raise KeyError(f"unknown chunk {chunk_id!r}")
-    total = 0.0
+) -> tuple[dict[str, float], dict[str, set[str]]]:
+    """Graph-channel score of every chunk near a linked entity: the sum over
+    linked entities of confidence times the fraction of the entity's k-hop
+    neighborhood with provenance in the chunk. Also returns, per chunk, the
+    names of the linked entities that contributed. Chunks with no such
+    provenance are absent."""
+    scores: dict[str, float] = {}
+    provenance: dict[str, set[str]] = {}
     for link in analysis.linked_entities:
         sub = graph.neighborhood(link.node_id, khop)
-        present = sum(1 for n in sorted(sub.node_ids) if chunk_id in graph.node(n).source_chunks)
-        total += link.confidence * (present / len(sub.node_ids))
-    return total
+        denom = len(sub.node_ids)
+        presence: Counter[str] = Counter()
+        for node_id in sub.node_ids:
+            presence.update(graph.node(node_id).source_chunks)
+        entity_name = graph.node(link.node_id).name
+        for chunk_id, count in sorted(presence.items()):
+            scores[chunk_id] = scores.get(chunk_id, 0.0) + link.confidence * count / denom
+            provenance.setdefault(chunk_id, set()).add(entity_name)
+    return scores, provenance
 
 
 def score_community_channel(
@@ -225,12 +233,13 @@ def score_community_channel(
 ) -> dict[int, float]:
     """Cosine of the query against every community report embedding,
     negatives clamped to zero."""
+    sims = store.similarities(query_vector)
     scores: dict[int, float] = {}
-    for ref, vector in store.items():
+    for ref in store.refs():
         cid = int(ref)
         if cid not in reports:
             raise GraphRagError(f"report store holds unknown community {cid}")
-        scores[cid] = max(0.0, cosine(query_vector, vector))
+        scores[cid] = max(0.0, float(sims[store.position(ref)]))
     return scores
 
 
@@ -309,6 +318,7 @@ class IndexBundle:
     report_store: VectorStore
     trie: EntityTrie
     chunk_memberships: dict[str, frozenset[int]] = field(default_factory=dict)
+    community_chunks: dict[int, frozenset[str]] = field(default_factory=dict)
 
     @classmethod
     def assemble(
@@ -320,12 +330,14 @@ class IndexBundle:
         report_store: VectorStore,
     ) -> "IndexBundle":
         memberships: dict[str, set[int]] = {}
+        community_chunks: dict[int, frozenset[str]] = {}
         for community in communities:
             chunk_ids: set[str] = set()
             for node_id in sorted(community.completed_members):
                 chunk_ids |= graph.node(node_id).source_chunks
             for chunk_id in chunk_ids:
                 memberships.setdefault(chunk_id, set()).add(community.id)
+            community_chunks[community.id] = frozenset(chunk_ids)
         return cls(
             graph=graph,
             communities=communities,
@@ -334,6 +346,7 @@ class IndexBundle:
             report_store=report_store,
             trie=build_trie(graph),
             chunk_memberships={k: frozenset(v) for k, v in memberships.items()},
+            community_chunks=community_chunks,
         )
 
 
@@ -417,57 +430,42 @@ def retrieve(
 
     # graph channel over chunks with provenance near linked entities
     graph_scores: dict[str, float] = {}
-    provenance_entities: dict[str, list[str]] = {}
+    provenance_entities: dict[str, set[str]] = {}
     if not ablate_graph:
-        for link in analysis.linked_entities:
-            sub = graph.neighborhood(link.node_id, cfg.khop)
-            denom = len(sub.node_ids)
-            presence: Counter[str] = Counter()
-            for node_id in sorted(sub.node_ids):
-                for chunk_id in sorted(graph.node(node_id).source_chunks):
-                    presence[chunk_id] += 1
-            entity_name = graph.node(link.node_id).name
-            for chunk_id, count in sorted(presence.items()):
-                graph_scores[chunk_id] = graph_scores.get(chunk_id, 0.0) + link.confidence * count / denom
-                provenance_entities.setdefault(chunk_id, []).append(entity_name)
+        graph_scores, provenance_entities = graph_channel_scores(analysis, graph, cfg.khop)
 
-    # gather candidates: vector top hits, graph-positive chunks, community member chunks
+    # gather candidates: vector top hits, graph-positive chunks, community member chunks;
+    # every chunk's cosine comes from one pass over the store
     candidate_ids: set[str] = {cid for cid, s in graph_scores.items() if s > 0.0}
-    vector_scores: dict[str, float] = {}
+    chunk_store = bundle.chunk_store
+    sims = None
     if query_vec is not None:
-        for chunk_id, score in bundle.chunk_store.top_k(query_vec, cfg.topk_candidates):
-            vector_scores[chunk_id] = score
-            candidate_ids.add(chunk_id)
-    if community_scores:
-        positive = {cid for cid, s in community_scores.items() if s > 0.0}
-        for chunk_id, owners in sorted(bundle.chunk_memberships.items()):
-            if owners & positive:
-                candidate_ids.add(chunk_id)
+        sims = chunk_store.similarities(query_vec)
+        candidate_ids.update(chunk_id for chunk_id, _ in chunk_store.rank(sims, cfg.topk_candidates))
+    for cid, score in community_scores.items():
+        if score > 0.0:
+            candidate_ids |= bundle.community_chunks.get(cid, frozenset())
     if not candidate_ids:
         return RetrievalResponse(analysis=analysis, results=(), diagnostics=tuple(diagnostics))
 
     # fill per-candidate channel scores
-    full_graph = {cid: graph_scores.get(cid, 0.0) for cid in sorted(candidate_ids)}
+    ordered = sorted(candidate_ids)
+    full_graph = {cid: graph_scores.get(cid, 0.0) for cid in ordered}
     full_vector = {}
-    for cid in sorted(candidate_ids):
-        if cid in vector_scores:
-            full_vector[cid] = vector_scores[cid]
-        elif query_vec is not None:
-            stored = bundle.chunk_store.get(cid)
-            full_vector[cid] = cosine(query_vec, stored) if stored is not None else 0.0
-        else:
-            full_vector[cid] = 0.0
-    memberships = {cid: bundle.chunk_memberships.get(cid, frozenset()) for cid in sorted(candidate_ids)}
+    for cid in ordered:
+        row = chunk_store.position(cid) if sims is not None else None
+        full_vector[cid] = float(sims[row]) if row is not None else 0.0
+    memberships = {cid: bundle.chunk_memberships.get(cid, frozenset()) for cid in ordered}
     raw_comm = {
-        cid: max((community_scores.get(c, 0.0) for c in sorted(memberships[cid])), default=0.0)
-        for cid in sorted(candidate_ids)
+        cid: max((community_scores.get(c, 0.0) for c in memberships[cid]), default=0.0)
+        for cid in ordered
     }
 
     # cap the candidate set by the best normalized channel signal (computed
     # over the full union, so growing the cap never drops a candidate)
     ng, nc, nv = _minmax(full_graph), _minmax(raw_comm), _minmax(full_vector)
-    prefusion = {cid: max(ng[cid], nc[cid], nv[cid]) for cid in sorted(candidate_ids)}
-    kept = sorted(candidate_ids, key=lambda cid: (-prefusion[cid], cid))[: cfg.topk_candidates]
+    prefusion = {cid: max(ng[cid], nc[cid], nv[cid]) for cid in ordered}
+    kept = sorted(ordered, key=lambda cid: (-prefusion[cid], cid))[: cfg.topk_candidates]
 
     fused = fuse(
         analysis.beta,
@@ -491,7 +489,7 @@ def retrieve(
                 fused=fused[chunk_id],
                 rerank_score=fused[chunk_id],
                 provenance={
-                    "entities": sorted(set(provenance_entities.get(chunk_id, []))),
+                    "entities": sorted(provenance_entities.get(chunk_id, ())),
                     "communities": owners,
                 },
             )

@@ -160,6 +160,23 @@ class TestRetrieveCommand:
         assert err == "error: query has no tokens\n"
 
 
+    def test_embed_dim_mismatch_is_a_clean_error(self, workspace, capsys):
+        cfg = workspace / "config.yaml"
+        run(["index", "--config", cfg])
+        run(["cluster", "--config", cfg])
+        text = cfg.read_text()
+        assert "embed_dim: 64" in text
+        cfg.write_text(text.replace("embed_dim: 64", "embed_dim: 32"))
+        capsys.readouterr()
+        for args in (["retrieve", "--query", "warring states"], ["eval", workspace / "benchmark.json"]):
+            assert run([*args, "--config", cfg]) == 1
+            captured = capsys.readouterr()
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:")
+            assert "64" in lines[0] and "32" in lines[0] and str(workspace / "index") in lines[0]
+            assert "Traceback" not in captured.err + captured.out
+
+
 class TestEvalCommand:
     def test_full_run(self, workspace, capsys):
         cfg = workspace / "config.yaml"

@@ -141,6 +141,78 @@ class TestVectorStore:
         assert [r for r, _ in got] == ["a", "z"]
 
 
+@st.composite
+def stores_with_queries(draw):
+    """Rows of dimension 1-300 with exact duplicates, scalar multiples and
+    zero rows at random positions, plus a query (sometimes zero, sometimes a
+    stored row) and a k."""
+    dim = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from((1.0, 1e-3, 1e3)))
+    rows = [rng.standard_normal(dim) * scale for _ in range(draw(st.integers(1, 6)))]
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(("duplicate", "multiple", "zero")))
+        source = rows[draw(st.integers(0, len(rows) - 1))]
+        if kind == "duplicate":
+            row = source.copy()
+        elif kind == "multiple":
+            row = source * draw(st.sampled_from((2.0, 0.5, -1.0, 3.0, 1e3)))
+        else:
+            row = np.zeros(dim)
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    query = draw(st.sampled_from(("zero", "random", "stored")))
+    if query == "zero":
+        q = np.zeros(dim)
+    elif query == "random":
+        q = rng.standard_normal(dim)
+    else:
+        q = rows[draw(st.integers(0, len(rows) - 1))].copy()
+    return [row.tolist() for row in rows], q.tolist(), draw(st.integers(1, len(rows) + 2))
+
+
+class TestExactScoring:
+    """The store's one scoring path must be bit-identical to cosine() per
+    row: compared with ``==``, so a blocked mat-vec that gives equal rows
+    different low bits fails here."""
+
+    @given(stores_with_queries(), st.randoms(use_true_random=False))
+    def test_similarities_and_top_k_equal_cosine(self, case, rnd):
+        rows, query, k = case
+        refs = [f"r{i:03d}" for i in range(len(rows))]
+        rnd.shuffle(refs)  # insertion order differs from ref order
+        store = VectorStore(dim=len(query))
+        for ref, row in zip(refs, rows):
+            store.add(ref, row)
+        sims = store.similarities(query)
+        assert sims.shape == (len(rows),)
+        want = {ref: cosine(query, row) for ref, row in zip(refs, rows)}
+        for i, ref in enumerate(refs):
+            assert sims[i] == want[ref]
+        got = store.top_k(query, k)
+        expected = oracles.top_k_ref(want, k)
+        assert [r for r, _ in got] == [r for r, _ in expected]
+        assert [s for _, s in got] == [s for _, s in expected]
+
+    def test_query_shape_checked(self):
+        store = VectorStore(dim=3)
+        for query in ([1.0, 0.0], [[1.0, 0.0, 0.0]]):
+            with pytest.raises(ValueError):
+                store.similarities(query)
+            with pytest.raises(ValueError):
+                store.top_k(query, 1)
+        assert store.similarities([1.0, 0.0, 0.0]).shape == (0,)
+        assert store.top_k([1.0, 0.0, 0.0], 3) == []
+
+    def test_adding_after_a_query_refreshes_the_ranking(self):
+        store = VectorStore(dim=2)
+        store.add("b", [1.0, 0.0])
+        assert store.top_k([1.0, 0.0], 2) == [("b", 1.0)]
+        store.add("a", [3.0, 0.0])
+        store.add("c", [0.0, 0.0])
+        assert store.top_k([1.0, 0.0], 3) == [("a", 1.0), ("b", 1.0), ("c", 0.0)]
+        assert store.position("c") == 2
+
+
 class TestHttpClients:
     def test_embeddings_sorted_by_index(self, monkeypatch):
         def fake_post(url, payload, **kwargs):

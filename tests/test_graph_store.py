@@ -132,6 +132,8 @@ class TestNeighborhood:
             k = rng.randint(0, 3)
             sub = g.neighborhood(start, k)
             assert sub.node_ids == frozenset(oracles.khop_nodes(pairs, start, k))
+            induced = sorted(e.key for e in g.edges() if e.head in sub.node_ids and e.tail in sub.node_ids)
+            assert sub.edge_keys == tuple(induced)
 
     def test_induced_edges_only(self):
         g = small_graph()

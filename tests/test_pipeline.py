@@ -203,3 +203,7 @@ class TestRetrieveAndEval:
         for chunk_id, owners in bundle.chunk_memberships.items():
             assert owners
             assert bundle.graph.has_chunk(chunk_id)
+        # community_chunks is the same relation keyed the other way
+        assert set(bundle.community_chunks) == {c.id for c in bundle.communities}
+        pairs = {(cid, chunk) for cid, chunks in bundle.community_chunks.items() for chunk in chunks}
+        assert pairs == {(cid, chunk) for chunk, owners in bundle.chunk_memberships.items() for cid in owners}

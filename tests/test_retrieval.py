@@ -23,11 +23,11 @@ from graphrag.retrieval import (
     compute_beta,
     fuse,
     fusion_weight,
+    graph_channel_scores,
     link_entities,
     rerank_select,
     retrieve,
     score_community_channel,
-    score_graph_channel,
 )
 
 
@@ -174,16 +174,22 @@ class TestGraphChannel:
         g.add_chunk(Chunk(id="d@00000000", document_id="d", text="ab", char_offset=0))
         g.add_chunk(Chunk(id="d@00000100", document_id="d", text="bc", char_offset=100))
         analysis = make_analysis([EntityLink(node_id=a, span=(0, 1), confidence=0.5)])
+        scores, provenance = graph_channel_scores(analysis, g, khop=1)
         # 1-hop around a = {a, b}; both carry the first chunk
-        assert score_graph_channel(analysis, "d@00000000", g, khop=1) == pytest.approx(0.5)
+        assert scores["d@00000000"] == pytest.approx(0.5)
         # only b of {a, b} carries the second
-        assert score_graph_channel(analysis, "d@00000100", g, khop=1) == pytest.approx(0.25)
+        assert scores["d@00000100"] == pytest.approx(0.25)
+        assert provenance == {"d@00000000": {"a"}, "d@00000100": {"a"}}
 
     def test_unknown_chunk(self):
         g = KnowledgeGraph()
-        g.upsert_node("a", "T")
-        with pytest.raises(KeyError):
-            score_graph_channel(make_analysis([]), "missing@00000000", g)
+        a = g.upsert_node("a", "T", chunk="d@00000000")
+        scores, provenance = graph_channel_scores(
+            make_analysis([EntityLink(node_id=a, span=(0, 1), confidence=1.0)]), g
+        )
+        assert "missing@00000000" not in scores
+        assert "missing@00000000" not in provenance
+        assert scores == {"d@00000000": 1.0}
 
 
 class TestCommunityChannel:
