@@ -11,6 +11,7 @@ import hashlib
 import logging
 import os
 from abc import ABC, abstractmethod
+from collections import Counter
 from functools import lru_cache
 from typing import Sequence
 
@@ -23,6 +24,8 @@ from .textnorm import tokenize
 log = logging.getLogger(__name__)
 
 DEFAULT_DIM = 256
+# texts per /embeddings request; a corpus goes out in batches of this size
+EMBED_BATCH_SIZE = 64
 
 
 @lru_cache(maxsize=1 << 16)
@@ -43,6 +46,27 @@ def cosine(u: Sequence[float], v: Sequence[float]) -> float:
         log.debug("cosine against a zero vector; returning 0.0")
         return 0.0
     return float(np.dot(a, b) / (na * nb))
+
+
+def _row_dots(rows: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """``rows[i] · other`` for a vector ``other``, or ``rows[i] · other[i]``
+    for a matrix, as a stack of vector·vector matmuls: each goes through
+    numpy's dot kernel, so it is bit-identical to ``np.dot(rows[i], ...)``."""
+    return np.matmul(rows[:, None, :], other[..., :, None]).reshape(len(rows))
+
+
+def top_rows(scores: np.ndarray, ref_rank: np.ndarray, k: int) -> np.ndarray:
+    """Rows of the ``k`` best ``scores``, ordered by (score desc, ref rank
+    asc): the first ``k`` of ``np.lexsort((ref_rank, -scores))``. Only the
+    rows scoring at least the k-th best score are sorted."""
+    if k <= 0:
+        return np.zeros(0, dtype=np.int64)
+    if k < len(scores):
+        kth = len(scores) - k
+        rows = np.flatnonzero(scores >= np.partition(scores, kth)[kth])
+    else:
+        rows = np.arange(len(scores))
+    return rows[np.lexsort((ref_rank[rows], -scores[rows]))[:k]]
 
 
 class EmbeddingClient(ABC):
@@ -113,13 +137,16 @@ class TokenOverlapReranker(RerankClient):
 
 
 class VectorStore:
-    """Exact brute-force similarity store over (ref id, vector) pairs.
+    """Exact brute-force cosine store over (ref id, vector) rows.
 
-    Every score is computed with ``cosine``'s own arithmetic, one row at a
-    time from norms cached at ``add``, so it is bit-identical to calling
-    ``cosine`` on that row. A single mat-vec would be faster but its
-    blocked reductions give equal rows different low bits by position,
-    which would break the ref tie-break.
+    The rows live in one contiguous float64 matrix, whose capacity doubles
+    as ``add`` fills it. ``similarities`` scores every row with one stacked
+    ``np.matmul`` of 1×dim by dim×1 products. numpy sends each of those
+    vector·vector products through the dot kernel that ``np.dot(query, row)``
+    uses, so every score is bit-identical to ``cosine`` and equal rows tie
+    exactly wherever they sit. A plain mat-vec (``M @ q``), ``einsum`` or
+    ``(M * q).sum(1)`` reduces in another order and changes low bits, which
+    would break the ref tie-break.
     """
 
     def __init__(self, dim: int):
@@ -127,12 +154,30 @@ class VectorStore:
             raise ValueError("vector store dimension must be positive")
         self.dim = dim
         self._refs: list[str] = []
-        self._vectors: list[np.ndarray] = []
-        self._norms: list[float] = []
         self._by_ref: dict[str, int] = {}
-        # derived from the rows; dropped by add() and rebuilt on first use
-        self._norm_array: np.ndarray | None = None
+        # rows [0, len) are in use; the rest is spare capacity
+        self._matrix = np.empty((0, dim), dtype=np.float64)
+        self._norms = np.empty(0, dtype=np.float64)
+        # derived from the refs; dropped by add() and rebuilt on first use
         self._ref_rank: np.ndarray | None = None
+
+    @classmethod
+    def from_matrix(cls, refs: Sequence[str], matrix: np.ndarray) -> "VectorStore":
+        """A store whose row i is ``matrix[i]`` under ``refs[i]``. A C-ordered
+        float64 matrix is adopted as it is, not copied."""
+        rows = np.ascontiguousarray(matrix, dtype=np.float64)
+        if rows.ndim != 2 or len(rows) != len(refs):
+            raise ValueError(f"matrix of shape {rows.shape} does not hold {len(refs)} rows")
+        store = cls(rows.shape[1])
+        by_ref = {ref: i for i, ref in enumerate(refs)}
+        if len(by_ref) != len(refs):
+            dupes = sorted(ref for ref, count in Counter(refs).items() if count > 1)
+            raise ValueError(f"duplicate refs {dupes[:3]}")
+        store._refs = list(refs)
+        store._by_ref = by_ref
+        store._matrix = rows
+        store._norms = np.sqrt(_row_dots(rows, rows))
+        return store
 
     def __len__(self) -> int:
         return len(self._refs)
@@ -143,23 +188,42 @@ class VectorStore:
             raise ValueError(f"vector for {ref!r} has shape {vec.shape}, expected ({self.dim},)")
         if ref in self._by_ref:
             raise ValueError(f"duplicate ref {ref!r}")
-        self._by_ref[ref] = len(self._refs)
+        n = len(self._refs)
+        if n == len(self._matrix):
+            capacity = max(8, 2 * n)
+            matrix = np.empty((capacity, self.dim), dtype=np.float64)
+            matrix[:n] = self._matrix[:n]
+            norms = np.empty(capacity, dtype=np.float64)
+            norms[:n] = self._norms[:n]
+            self._matrix, self._norms = matrix, norms
+        self._matrix[n] = vec
+        self._norms[n] = np.sqrt(vec.dot(vec))
+        self._by_ref[ref] = n
         self._refs.append(ref)
-        self._vectors.append(vec)
-        self._norms.append(float(np.linalg.norm(vec)))
-        self._norm_array = None
         self._ref_rank = None
 
     def get(self, ref: str) -> np.ndarray | None:
         idx = self._by_ref.get(ref)
-        return self._vectors[idx] if idx is not None else None
+        return self._matrix[idx] if idx is not None else None
 
     def position(self, ref: str) -> int | None:
         """Row of ``ref`` in insertion order, the index into ``similarities``."""
         return self._by_ref.get(ref)
 
+    def ref(self, row: int) -> str:
+        """Ref stored at ``row``."""
+        return self._refs[row]
+
     def refs(self) -> list[str]:
         return sorted(self._refs)
+
+    def ref_rank(self) -> np.ndarray:
+        """Per row, the position of its ref in ascending ref order."""
+        if self._ref_rank is None:
+            order = sorted(range(len(self._refs)), key=self._refs.__getitem__)
+            self._ref_rank = np.empty(len(order), dtype=np.int64)
+            self._ref_rank[order] = np.arange(len(order))
+        return self._ref_rank
 
     def similarities(self, query: Sequence[float]) -> np.ndarray:
         """Cosine of ``query`` against every row, in insertion order; a zero
@@ -167,13 +231,12 @@ class VectorStore:
         q = np.asarray(query, dtype=np.float64)
         if q.shape != (self.dim,):
             raise ValueError(f"dimension mismatch: {q.shape} vs ({self.dim},)")
+        n = len(self._refs)
         q_norm = float(np.linalg.norm(q))
         if q_norm == 0.0:
-            return np.zeros(len(self._vectors))
-        dots = np.fromiter(map(q.dot, self._vectors), dtype=np.float64, count=len(self._vectors))
-        if self._norm_array is None:
-            self._norm_array = np.array(self._norms, dtype=np.float64)
-        norms = self._norm_array
+            return np.zeros(n)
+        dots = _row_dots(self._matrix[:n], q)
+        norms = self._norms[:n]
         zero = norms == 0.0
         sims = dots / np.where(zero, 1.0, q_norm * norms)
         sims[zero] = 0.0
@@ -181,14 +244,8 @@ class VectorStore:
 
     def rank(self, sims: np.ndarray, k: int) -> list[tuple[str, float]]:
         """Top k of a ``similarities`` array, ordered by (score desc, ref asc)."""
-        if k <= 0:
-            return []
-        if self._ref_rank is None:
-            order = sorted(range(len(self._refs)), key=self._refs.__getitem__)
-            self._ref_rank = np.empty(len(order), dtype=np.int64)
-            self._ref_rank[order] = np.arange(len(order))
-        top = np.lexsort((self._ref_rank, -sims))[:k]
-        return [(self._refs[i], float(sims[i])) for i in top]
+        top = top_rows(sims, self.ref_rank(), k)
+        return [(self._refs[i], float(sims[i])) for i in top.tolist()]
 
     def top_k(self, query: Sequence[float], k: int) -> list[tuple[str, float]]:
         """Exact top-k by cosine, ties broken by ref id ascending."""
@@ -217,9 +274,17 @@ class HttpEmbeddingClient(EmbeddingClient):
         self.timeout = timeout
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
+        """Embed in batches of ``EMBED_BATCH_SIZE`` texts, one request each;
+        the vectors come back in input order."""
+        vectors: list[np.ndarray] = []
+        for start in range(0, len(texts), EMBED_BATCH_SIZE):
+            vectors.extend(self._embed_batch(list(texts[start:start + EMBED_BATCH_SIZE])))
+        return vectors
+
+    def _embed_batch(self, texts: list[str]) -> list[np.ndarray]:
         body = post_json(
             f"{self.endpoint}/embeddings",
-            {"model": self.model, "input": list(texts)},
+            {"model": self.model, "input": texts},
             api_key=self.api_key,
             timeout=self.timeout,
         )

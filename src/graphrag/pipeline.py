@@ -21,9 +21,12 @@ import dataclasses
 import hashlib
 import json
 import logging
+import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from .community import (
     Community,
@@ -170,6 +173,22 @@ def _dump_jsonl(records: list[dict]) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Put ``data`` at ``path`` through a temp file in the same directory and
+    ``os.replace``, so the artifact is either its old bytes or its new ones,
+    never a partial write. A failed write leaves no temp file behind. The
+    data is not fsynced: this guards against a crash of the process, not a
+    loss of power."""
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _embeddings_bytes(graph: KnowledgeGraph, embed: EmbeddingClient, dim: int) -> bytes:
     chunk_ids = graph.chunk_ids()
     texts = [graph.chunk(cid).text for cid in chunk_ids]
@@ -243,10 +262,12 @@ def build_index(
             stale = out / name
             if stale.exists():
                 stale.unlink()
-    (out / GRAPH_NAME).write_bytes(graph_bytes)
-    (out / CHUNKS_NAME).write_bytes(chunk_bytes)
-    (out / EMBEDDINGS_NAME).write_bytes(embedding_bytes)
-    (out / MANIFEST_NAME).write_bytes(_dump_json(manifest))
+    # the manifest goes last: until it lands, the digests of the old one
+    # reject a half-replaced index
+    _write_atomic(out / GRAPH_NAME, graph_bytes)
+    _write_atomic(out / CHUNKS_NAME, chunk_bytes)
+    _write_atomic(out / EMBEDDINGS_NAME, embedding_bytes)
+    _write_atomic(out / MANIFEST_NAME, _dump_json(manifest))
     log.info(
         "indexed %d documents into %s: %d chunks, %d nodes, %d edges",
         len(documents), out, graph.chunk_count, graph.node_count, graph.edge_count,
@@ -289,9 +310,11 @@ def load_index_graph(index_dir: Path) -> tuple[KnowledgeGraph, dict]:
 
 
 def _load_embeddings(index_dir: Path, manifest: dict) -> VectorStore:
+    """Read embeddings.jsonl into a chunk store, each vector written straight
+    into its row of one preallocated matrix."""
     data = _verified_bytes(index_dir, EMBEDDINGS_NAME, manifest)
-    dim = None
-    store = None
+    matrix = None
+    refs: list[str] = []
     for lineno, line in enumerate(data.decode("utf-8").splitlines(), start=1):
         if not line.strip():
             continue
@@ -301,17 +324,27 @@ def _load_embeddings(index_dir: Path, manifest: dict) -> VectorStore:
             raise GraphFormatError(f"{EMBEDDINGS_NAME}:{lineno}: unparseable line ({exc.msg})") from exc
         kind = record.get("kind")
         if kind == "meta":
-            dim = int(record["dimension"])
-            store = VectorStore(dim)
+            matrix = np.empty((int(record["count"]), int(record["dimension"])), dtype=np.float64)
         elif kind == "embedding":
-            if store is None:
+            if matrix is None:
                 raise GraphFormatError(f"{EMBEDDINGS_NAME}:{lineno}: embedding before meta record")
-            store.add(record["ref"], record["vector"])
+            if len(refs) == len(matrix):
+                raise GraphFormatError(f"{EMBEDDINGS_NAME}:{lineno}: more embeddings than the meta count")
+            vector = record["vector"]
+            if len(vector) != matrix.shape[1]:
+                raise GraphFormatError(f"{EMBEDDINGS_NAME}:{lineno}: vector has {len(vector)} dimensions")
+            matrix[len(refs)] = vector
+            refs.append(record["ref"])
         else:
             raise GraphFormatError(f"{EMBEDDINGS_NAME}:{lineno}: unknown record kind {kind!r}")
-    if store is None:
+    if matrix is None:
         raise GraphFormatError(f"{EMBEDDINGS_NAME}: missing meta record")
-    return store
+    if len(refs) != len(matrix):
+        raise GraphFormatError(f"{EMBEDDINGS_NAME}: {len(refs)} embeddings, meta count {len(matrix)}")
+    try:
+        return VectorStore.from_matrix(refs, matrix)
+    except ValueError as exc:
+        raise GraphFormatError(f"{EMBEDDINGS_NAME}: {exc}") from exc
 
 
 # -- cluster stage --------------------------------------------------------------------
@@ -403,8 +436,8 @@ def run_clustering(
             "source_chunks": list(r.source_chunks),
         })
 
-    (out / COMMUNITIES_NAME).write_bytes(_dump_jsonl(community_records))
-    (out / REPORTS_NAME).write_bytes(_dump_jsonl(report_records))
+    _write_atomic(out / COMMUNITIES_NAME, _dump_jsonl(community_records))
+    _write_atomic(out / REPORTS_NAME, _dump_jsonl(report_records))
 
     by_dimension: dict[str, int] = {}
     for c in communities:
@@ -477,6 +510,20 @@ def load_communities(index_dir: Path) -> tuple[list[Community], dict[int, Commun
 # -- query stages ---------------------------------------------------------------------
 
 
+def _check_chunk_refs(out: Path, graph: KnowledgeGraph, chunk_store: VectorStore) -> None:
+    """The chunk store must hold exactly the graph's chunks, and every node's
+    provenance must name one of them, so chunk-store rows index every chunk
+    the retrieval channels can reach."""
+    chunk_ids = set(graph.chunk_ids())
+    differing = chunk_ids.symmetric_difference(chunk_store.refs())
+    differing |= set().union(*(node.source_chunks for node in graph.nodes())) - chunk_ids
+    if differing:
+        raise GraphFormatError(
+            f"index at {out}: {CHUNKS_NAME}, {EMBEDDINGS_NAME} and {GRAPH_NAME} disagree on "
+            f"{len(differing)} chunk id(s), e.g. {sorted(differing)[:3]}; rebuild with --force"
+        )
+
+
 def load_bundle(cfg: PipelineConfig, index_dir: Path | None = None) -> IndexBundle:
     out = Path(index_dir) if index_dir is not None else cfg.index_dir
     graph, manifest = load_index_graph(out)
@@ -487,6 +534,7 @@ def load_bundle(cfg: PipelineConfig, index_dir: Path | None = None) -> IndexBund
             f"index at {out} holds {chunk_store.dim}-dimensional embeddings but "
             f"clients.embed_dim is {cfg.clients.embed_dim}; rebuild the index or fix the config"
         )
+    _check_chunk_refs(out, graph, chunk_store)
     report_store = VectorStore(cfg.clients.embed_dim)
     for community in communities:
         report = reports[community.id]
@@ -563,9 +611,9 @@ def run_eval(
     if problems:
         raise BenchmarkError("metrics failed self-check: " + "; ".join(problems))
 
-    (out / "eval_report.json").write_bytes(_dump_json(report.to_dict()))
+    _write_atomic(out / "eval_report.json", _dump_json(report.to_dict()))
     table = report.render_table()
     if report.diagnostics:
         table += "\n\n" + "\n".join(f"note: {d}" for d in report.diagnostics)
-    (out / "eval_report.txt").write_text(table + "\n", "utf-8")
+    _write_atomic(out / "eval_report.txt", (table + "\n").encode("utf-8"))
     return report

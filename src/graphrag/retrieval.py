@@ -18,13 +18,13 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .community import Community, CommunityReport
 # cosine is re-exported: callers import it from this module as well
-from .embedding import EmbeddingClient, RerankClient, VectorStore, cosine  # noqa: F401
+from .embedding import EmbeddingClient, RerankClient, VectorStore, cosine, top_rows  # noqa: F401
 from .errors import GraphRagError, QueryError
 from .graph_store import KnowledgeGraph
 from .textnorm import stopwords, tokenize
@@ -284,6 +284,63 @@ def fuse(
     }
 
 
+def _minmax_array(values: np.ndarray) -> np.ndarray:
+    """``_minmax`` over an array, with the same arithmetic per element."""
+    lo = values.min()
+    hi = values.max()
+    if hi <= lo:
+        return np.zeros(len(values))
+    return (values - lo) / (hi - lo)
+
+
+def select_candidates(
+    graph_scores: np.ndarray,
+    sims: np.ndarray | None,
+    community_scores: np.ndarray,
+    member_rows: np.ndarray,
+    member_communities: np.ndarray,
+    ref_rank: np.ndarray,
+    k: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gather candidate chunks from the three channels and keep the best k.
+
+    Arrays run over chunk-store rows: ``graph_scores`` is each chunk's graph
+    channel score, ``sims`` its cosine to the query (None without a query
+    vector), and ``ref_rank`` the rank of its chunk id. ``community_scores``
+    runs over communities; ``member_rows[i]`` belongs to community
+    ``member_communities[i]``.
+
+    Candidates are the chunks with a positive graph score, the top k by
+    cosine (ties by chunk id), and every member of a positively scored
+    community. Each chunk's community score is the best score among the
+    communities holding it, 0 for none. Each channel is min-max normalized
+    over the candidates; the best of the three normalized scores ranks them,
+    ties by chunk id, and the first k are kept. Normalizing over all
+    candidates means a larger k never drops a kept chunk.
+
+    Returns the kept rows in that order and their graph, community and
+    vector scores.
+    """
+    vector = np.zeros(len(ref_rank)) if sims is None else sims
+    owner_scores = community_scores[member_communities]
+    community = np.zeros(len(ref_rank))
+    np.maximum.at(community, member_rows, owner_scores)
+    mask = graph_scores > 0.0
+    if sims is not None:
+        mask[top_rows(sims, ref_rank, k)] = True
+    mask[member_rows[owner_scores > 0.0]] = True
+    rows = np.flatnonzero(mask)
+    if not len(rows):
+        return rows, np.zeros(0), np.zeros(0), np.zeros(0)
+    prefusion = np.maximum.reduce([
+        _minmax_array(graph_scores[rows]),
+        _minmax_array(community[rows]),
+        _minmax_array(vector[rows]),
+    ])
+    kept = rows[top_rows(prefusion, ref_rank[rows], k)]
+    return kept, graph_scores[kept], community[kept], vector[kept]
+
+
 # -- retrieval ------------------------------------------------------------------------
 
 
@@ -309,7 +366,12 @@ class RetrievalResponse:
 
 @dataclass
 class IndexBundle:
-    """Everything retrieve() needs, loaded once per index."""
+    """Everything retrieve() needs, loaded once per index.
+
+    ``member_rows`` and ``member_communities`` hold one entry per (chunk,
+    community) membership: the chunk's ``chunk_store`` row and the
+    community's index in ``communities``.
+    """
 
     graph: KnowledgeGraph
     communities: list[Community]
@@ -317,8 +379,9 @@ class IndexBundle:
     chunk_store: VectorStore
     report_store: VectorStore
     trie: EntityTrie
-    chunk_memberships: dict[str, frozenset[int]] = field(default_factory=dict)
-    community_chunks: dict[int, frozenset[str]] = field(default_factory=dict)
+    chunk_memberships: dict[str, frozenset[int]]
+    member_rows: np.ndarray
+    member_communities: np.ndarray
 
     @classmethod
     def assemble(
@@ -329,15 +392,19 @@ class IndexBundle:
         chunk_store: VectorStore,
         report_store: VectorStore,
     ) -> "IndexBundle":
+        """Bundle an index whose chunk store holds a row for every chunk of
+        ``graph``."""
         memberships: dict[str, set[int]] = {}
-        community_chunks: dict[int, frozenset[str]] = {}
-        for community in communities:
+        rows: list[int] = []
+        owners: list[int] = []
+        for index, community in enumerate(communities):
             chunk_ids: set[str] = set()
             for node_id in sorted(community.completed_members):
                 chunk_ids |= graph.node(node_id).source_chunks
             for chunk_id in chunk_ids:
                 memberships.setdefault(chunk_id, set()).add(community.id)
-            community_chunks[community.id] = frozenset(chunk_ids)
+                rows.append(chunk_store.position(chunk_id))
+                owners.append(index)
         return cls(
             graph=graph,
             communities=communities,
@@ -346,7 +413,8 @@ class IndexBundle:
             report_store=report_store,
             trie=build_trie(graph),
             chunk_memberships={k: frozenset(v) for k, v in memberships.items()},
-            community_chunks=community_chunks,
+            member_rows=np.array(rows, dtype=np.int64),
+            member_communities=np.array(owners, dtype=np.int64),
         )
 
 
@@ -434,45 +502,30 @@ def retrieve(
     if not ablate_graph:
         graph_scores, provenance_entities = graph_channel_scores(analysis, graph, cfg.khop)
 
-    # gather candidates: vector top hits, graph-positive chunks, community member chunks;
-    # every chunk's cosine comes from one pass over the store
-    candidate_ids: set[str] = {cid for cid, s in graph_scores.items() if s > 0.0}
+    # gather and cap candidates over chunk-store rows; every chunk's cosine
+    # comes from one pass over the store
     chunk_store = bundle.chunk_store
-    sims = None
-    if query_vec is not None:
-        sims = chunk_store.similarities(query_vec)
-        candidate_ids.update(chunk_id for chunk_id, _ in chunk_store.rank(sims, cfg.topk_candidates))
-    for cid, score in community_scores.items():
-        if score > 0.0:
-            candidate_ids |= bundle.community_chunks.get(cid, frozenset())
-    if not candidate_ids:
+    graph_array = np.zeros(len(chunk_store))
+    for chunk_id, score in graph_scores.items():
+        graph_array[chunk_store.position(chunk_id)] = score
+    rows, s_graph, s_comm, s_vector = select_candidates(
+        graph_array,
+        chunk_store.similarities(query_vec) if query_vec is not None else None,
+        np.array([community_scores.get(c.id, 0.0) for c in bundle.communities]),
+        bundle.member_rows,
+        bundle.member_communities,
+        chunk_store.ref_rank(),
+        cfg.topk_candidates,
+    )
+    if not len(rows):
         return RetrievalResponse(analysis=analysis, results=(), diagnostics=tuple(diagnostics))
 
-    # fill per-candidate channel scores
-    ordered = sorted(candidate_ids)
-    full_graph = {cid: graph_scores.get(cid, 0.0) for cid in ordered}
-    full_vector = {}
-    for cid in ordered:
-        row = chunk_store.position(cid) if sims is not None else None
-        full_vector[cid] = float(sims[row]) if row is not None else 0.0
-    memberships = {cid: bundle.chunk_memberships.get(cid, frozenset()) for cid in ordered}
-    raw_comm = {
-        cid: max((community_scores.get(c, 0.0) for c in memberships[cid]), default=0.0)
-        for cid in ordered
-    }
-
-    # cap the candidate set by the best normalized channel signal (computed
-    # over the full union, so growing the cap never drops a candidate)
-    ng, nc, nv = _minmax(full_graph), _minmax(raw_comm), _minmax(full_vector)
-    prefusion = {cid: max(ng[cid], nc[cid], nv[cid]) for cid in ordered}
-    kept = sorted(ordered, key=lambda cid: (-prefusion[cid], cid))[: cfg.topk_candidates]
-
-    fused = fuse(
-        analysis.beta,
-        {cid: full_graph[cid] for cid in kept},
-        {cid: memberships[cid] for cid in kept},
-        community_scores,
-    )
+    kept = [chunk_store.ref(row) for row in rows.tolist()]
+    full_graph = dict(zip(kept, s_graph.tolist()))
+    raw_comm = dict(zip(kept, s_comm.tolist()))
+    full_vector = dict(zip(kept, s_vector.tolist()))
+    memberships = {cid: bundle.chunk_memberships.get(cid, frozenset()) for cid in kept}
+    fused = fuse(analysis.beta, full_graph, memberships, community_scores)
 
     results = []
     for chunk_id in sorted(kept, key=lambda cid: (-fused[cid], cid)):

@@ -315,6 +315,42 @@ def minmax_ref(values: Mapping[str, float]) -> dict[str, float]:
     return {key: (v - lo) / (hi - lo) for key, v in values.items()}
 
 
+def select_candidates_ref(
+    graph_scores: Mapping[str, float],
+    vector_scores: Mapping[str, float] | None,
+    community_scores: Mapping[int, float],
+    chunk_memberships: Mapping[str, frozenset[int]],
+    community_chunks: Mapping[int, frozenset[str]],
+    k: int,
+) -> list[tuple[str, float, float, float]]:
+    """Candidate gather and cap over dicts, one chunk at a time.
+
+    Candidates: chunks with a positive graph score, the top k of
+    ``vector_scores`` (every chunk's cosine; None without a query vector),
+    and every chunk of a positively scored community. Each channel is
+    min-max normalized over the candidates, and the k best by their largest
+    normalized score survive, ties by chunk id. Returns (chunk id, graph,
+    community, vector score) per kept chunk, best first.
+    """
+    candidates = {cid for cid, s in graph_scores.items() if s > 0.0}
+    if vector_scores is not None:
+        candidates.update(cid for cid, _ in top_k_ref(vector_scores, k))
+    for community, score in community_scores.items():
+        if score > 0.0:
+            candidates |= community_chunks.get(community, frozenset())
+    ordered = sorted(candidates)
+    graph = {cid: graph_scores.get(cid, 0.0) for cid in ordered}
+    vector = {cid: vector_scores[cid] if vector_scores is not None else 0.0 for cid in ordered}
+    comm = {
+        cid: max((community_scores.get(c, 0.0) for c in chunk_memberships.get(cid, ())), default=0.0)
+        for cid in ordered
+    }
+    ng, nc, nv = minmax_ref(graph), minmax_ref(comm), minmax_ref(vector)
+    prefusion = {cid: max(ng[cid], nc[cid], nv[cid]) for cid in ordered}
+    kept = sorted(ordered, key=lambda cid: (-prefusion[cid], cid))[:k]
+    return [(cid, graph[cid], comm[cid], vector[cid]) for cid in kept]
+
+
 def harmonic_f1_ref(precision: float, recall: float) -> float:
     if precision + recall == 0:
         return 0.0

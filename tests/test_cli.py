@@ -177,6 +177,27 @@ class TestRetrieveCommand:
             assert "Traceback" not in captured.err + captured.out
 
 
+    def test_chunk_embedding_mismatch_is_a_clean_error(self, workspace, capsys):
+        cfg = workspace / "config.yaml"
+        run(["index", "--config", cfg])
+        run(["cluster", "--config", cfg])
+        index = workspace / "index"
+        chunks = index / "chunks.jsonl"
+        lines = chunks.read_text("utf-8").splitlines(keepends=True)
+        dropped = json.loads(lines[-1])["id"]
+        chunks.write_text("".join(lines[:-1]), "utf-8")
+        manifest = json.loads((index / "manifest.json").read_text("utf-8"))
+        del manifest["artifacts"]["chunks.jsonl"]
+        (index / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+        capsys.readouterr()
+        assert run(["retrieve", "--config", cfg, "--query", "warring states artifacts"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert str(index) in lines[0] and dropped in lines[0]
+        assert "Traceback" not in captured.err + captured.out
+
+
 class TestEvalCommand:
     def test_full_run(self, workspace, capsys):
         cfg = workspace / "config.yaml"

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from graphrag.embedding import (
+    EMBED_BATCH_SIZE,
     HashingEmbedder,
     HttpEmbeddingClient,
     HttpRerankClient,
@@ -181,8 +182,15 @@ class TestExactScoring:
         refs = [f"r{i:03d}" for i in range(len(rows))]
         rnd.shuffle(refs)  # insertion order differs from ref order
         store = VectorStore(dim=len(query))
-        for ref, row in zip(refs, rows):
+        for n, (ref, row) in enumerate(zip(refs, rows), start=1):
             store.add(ref, row)
+            if rnd.random() < 0.3:  # queries between adds see the grown matrix
+                self.check(store, refs[:n], rows[:n], query, k)
+        self.check(store, refs, rows, query, k)
+        self.check(VectorStore.from_matrix(refs, np.array(rows)), refs, rows, query, k)
+
+    @staticmethod
+    def check(store, refs, rows, query, k):
         sims = store.similarities(query)
         assert sims.shape == (len(rows),)
         want = {ref: cosine(query, row) for ref, row in zip(refs, rows)}
@@ -212,6 +220,15 @@ class TestExactScoring:
         assert store.top_k([1.0, 0.0], 3) == [("a", 1.0), ("b", 1.0), ("c", 0.0)]
         assert store.position("c") == 2
 
+    def test_from_matrix_checks_refs(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            VectorStore.from_matrix(["a", "a"], np.eye(2))
+        with pytest.raises(ValueError, match="2 rows"):
+            VectorStore.from_matrix(["a", "b"], np.eye(3))
+        store = VectorStore.from_matrix(["b", "a"], np.eye(2))
+        assert np.array_equal(store.get("a"), [0.0, 1.0])
+        assert [ref for ref, _ in store.top_k([1.0, 1.0], 2)] == ["a", "b"]
+
 
 class TestHttpClients:
     def test_embeddings_sorted_by_index(self, monkeypatch):
@@ -230,6 +247,32 @@ class TestHttpClients:
         vecs = client.embed(["one", "two"])
         assert np.array_equal(vecs[0], np.array([1.0, 0.0]))
         assert np.array_equal(vecs[1], np.array([0.0, 1.0]))
+
+    def test_embeddings_batched_in_order(self, monkeypatch):
+        calls = []
+
+        def fake_post(url, payload, **kwargs):
+            calls.append(payload["input"])
+            # rows come back shuffled; each vector encodes its text's number
+            data = [{"index": i, "embedding": [float(text), 0.0]} for i, text in enumerate(payload["input"])]
+            return {"data": data[::-1]}
+
+        monkeypatch.setattr("graphrag.embedding.post_json", fake_post)
+        texts = [str(i) for i in range(2 * EMBED_BATCH_SIZE + 2)]
+        vecs = HttpEmbeddingClient(endpoint="http://svc", dim=2).embed(texts)
+        assert [len(batch) for batch in calls] == [EMBED_BATCH_SIZE, EMBED_BATCH_SIZE, 2]
+        assert [batch for call in calls for batch in call] == texts
+        assert [v[0] for v in vecs] == [float(t) for t in texts]
+
+    def test_embeddings_short_batch(self, monkeypatch):
+        def fake_post(url, payload, **kwargs):
+            batch = payload["input"][:-1] if payload["input"][0] != "0" else payload["input"]
+            return {"data": [{"index": i, "embedding": [1.0, 0.0]} for i in range(len(batch))]}
+
+        monkeypatch.setattr("graphrag.embedding.post_json", fake_post)
+        client = HttpEmbeddingClient(endpoint="http://svc", dim=2)
+        with pytest.raises(ClientError, match=f"asked for {EMBED_BATCH_SIZE} embeddings, got {EMBED_BATCH_SIZE - 1}"):
+            client.embed([str(i) for i in range(2 * EMBED_BATCH_SIZE)])
 
     def test_embeddings_dim_mismatch(self, monkeypatch):
         monkeypatch.setattr(

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import shutil
 
 import pytest
 
@@ -203,7 +205,72 @@ class TestRetrieveAndEval:
         for chunk_id, owners in bundle.chunk_memberships.items():
             assert owners
             assert bundle.graph.has_chunk(chunk_id)
-        # community_chunks is the same relation keyed the other way
-        assert set(bundle.community_chunks) == {c.id for c in bundle.communities}
-        pairs = {(cid, chunk) for cid, chunks in bundle.community_chunks.items() for chunk in chunks}
-        assert pairs == {(cid, chunk) for chunk, owners in bundle.chunk_memberships.items() for cid in owners}
+        # the flat membership arrays hold the same relation once per pair,
+        # and every community owns at least one chunk
+        store = bundle.chunk_store
+        pairs = [
+            (bundle.communities[index].id, store.ref(row))
+            for row, index in zip(bundle.member_rows.tolist(), bundle.member_communities.tolist())
+        ]
+        assert len(pairs) == len(set(pairs))
+        assert {cid for cid, _ in pairs} == {c.id for c in bundle.communities}
+        assert set(pairs) == {(cid, chunk) for chunk, owners in bundle.chunk_memberships.items() for cid in owners}
+
+
+class TestAtomicWrites:
+    """A write that fails at any artifact leaves no temp file and every
+    artifact whole (its old or its new bytes); the index then loads as
+    before or is rejected with GraphFormatError."""
+
+    REPLACES = {"index": 4, "cluster": 2, "eval": 2}
+
+    @staticmethod
+    def rerun(stage, cfg, fixture, out, tmp_path):
+        """Run ``stage`` over ``out`` with inputs that change its artifacts."""
+        if stage == "index":
+            corpus = tmp_path / "corpus"
+            if not corpus.exists():
+                shutil.copytree(fixture / "corpus", corpus)
+                (corpus / "jade_cup_of_chu.txt").unlink()
+            build_index(dataclasses.replace(cfg, corpus_path=corpus), force=True, index_dir=out)
+        elif stage == "cluster":
+            clustering = dataclasses.replace(cfg.clustering, multihop=())
+            run_clustering(dataclasses.replace(cfg, clustering=clustering), force=True, index_dir=out)
+        else:
+            run_eval(cfg, fixture / "benchmark.json", index_dir=out, extra_ablate=("graph",))
+
+    @pytest.mark.parametrize("stage,n", [(s, n) for s, count in REPLACES.items() for n in range(1, count + 1)])
+    def test_failed_replace(self, museum_cfg, museum_fixture, museum_index, tmp_path, monkeypatch, stage, n):
+        out, done = tmp_path / "index", tmp_path / "done"
+        shutil.copytree(museum_index, out)
+        run_eval(museum_cfg, museum_fixture / "benchmark.json", index_dir=out)
+        shutil.copytree(out, done)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        self.rerun(stage, museum_cfg, museum_fixture, done, tmp_path)
+        after = {p.name: p.read_bytes() for p in done.iterdir()}
+
+        real_replace, calls = os.replace, []
+
+        def failing_replace(src, dst):
+            calls.append(dst)
+            if len(calls) == n:
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            self.rerun(stage, museum_cfg, museum_fixture, out, tmp_path)
+        monkeypatch.undo()
+
+        for path in out.iterdir():
+            assert not path.name.endswith(".tmp")
+            assert path.read_bytes() in (before.get(path.name), after.get(path.name)), path.name
+        assert (out / "manifest.json").read_bytes() == before["manifest.json"]
+        try:
+            # --force clears the old communities before the new graph is written
+            load_index_graph(out) if stage == "index" else load_bundle(museum_cfg, out)
+        except GraphFormatError:
+            return
+        for name in ("graph.jsonl", "chunks.jsonl", "embeddings.jsonl", "communities.jsonl", "reports.jsonl"):
+            if (out / name).exists():
+                assert (out / name).read_bytes() == before[name], name

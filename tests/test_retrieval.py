@@ -7,6 +7,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from graphrag.community import Community, edges_within, generate_report
@@ -28,6 +30,7 @@ from graphrag.retrieval import (
     rerank_select,
     retrieve,
     score_community_channel,
+    select_candidates,
 )
 
 
@@ -246,6 +249,75 @@ class TestFuse:
     def test_membership_in_unscored_community_counts_zero(self):
         fused = fuse(0.5, {"a": 1.0, "b": 0.0}, {"a": frozenset({9})}, {0: 1.0})
         assert fused["a"] == pytest.approx(0.5)  # graph channel only
+
+
+def tied_scores(lo: float):
+    """Scores in [lo, 1] that often tie: a few fixed values or any float."""
+    return st.one_of(st.sampled_from((lo, 0.0, 0.25, 0.5, 1.0)), st.floats(lo, 1.0))
+
+
+@st.composite
+def candidate_inputs(draw):
+    """Chunks stored in an order unlike their ids, graph and vector scores
+    with ties, communities (some scoring zero, some empty) over random chunk
+    subsets or every chunk, an ablated channel or a dead embedder, and a
+    cap k."""
+    n = draw(st.integers(1, 30))
+    ids = [f"c{i:02d}" for i in range(n)]
+    rows = draw(st.permutations(ids))
+    mode = draw(st.sampled_from(("all", "ablate graph", "ablate community", "dead embedder")))
+    graph = {} if mode == "ablate graph" else {
+        cid: draw(tied_scores(0.0)) for cid in draw(st.lists(st.sampled_from(ids), unique=True))
+    }
+    vector = None if mode == "dead embedder" else {cid: draw(tied_scores(-1.0)) for cid in ids}
+    members = [
+        frozenset(ids) if draw(st.booleans()) else frozenset(draw(st.lists(st.sampled_from(ids), max_size=n)))
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+    scores = [draw(tied_scores(0.0)) for _ in members]
+    if mode in ("ablate community", "dead embedder"):
+        scores = [0.0] * len(members)
+    return rows, graph, vector, members, scores, draw(st.integers(1, n + 3))
+
+
+class TestSelectCandidates:
+    """The array candidate stage must keep exactly the chunks, and report
+    exactly the channel scores, of the dict-based reference."""
+
+    @given(candidate_inputs())
+    def test_matches_dict_reference(self, case):
+        rows, graph, vector, members, scores, k = case
+        position = {cid: row for row, cid in enumerate(rows)}
+        graph_array = np.zeros(len(rows))
+        for cid, score in graph.items():
+            graph_array[position[cid]] = score
+        sims = None if vector is None else np.array([vector[cid] for cid in rows])
+        ref_rank = np.array([sorted(rows).index(cid) for cid in rows])
+        pairs = [(position[cid], index) for index, chunks in enumerate(members) for cid in chunks]
+        kept, s_graph, s_comm, s_vector = select_candidates(
+            graph_array,
+            sims,
+            np.array(scores, dtype=np.float64),
+            np.array([row for row, _ in pairs], dtype=np.int64),
+            np.array([index for _, index in pairs], dtype=np.int64),
+            ref_rank,
+            k,
+        )
+        got = list(zip([rows[r] for r in kept.tolist()], s_graph.tolist(), s_comm.tolist(), s_vector.tolist()))
+
+        memberships: dict[str, frozenset[int]] = {}
+        for index, chunks in enumerate(members):
+            for cid in chunks:
+                memberships[cid] = memberships.get(cid, frozenset()) | {index}
+        want = oracles.select_candidates_ref(
+            graph,
+            vector,
+            dict(enumerate(scores)),
+            memberships,
+            dict(enumerate(members)),
+            k,
+        )
+        assert got == want
 
 
 class _FailingRerank(TokenOverlapReranker):
