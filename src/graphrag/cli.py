@@ -7,8 +7,8 @@
     graphrag eval         --config pipeline.yaml BENCHMARK [--ablate ...]
 
 Shared flags may sit before or after the subcommand. ``--json`` switches the
-output to a single machine-readable object; errors go to stderr with exit
-code 1.
+output to a single machine-readable object; errors, including failed reads
+and writes of files, go to stderr as one ``error:`` line with exit code 1.
 """
 
 from __future__ import annotations
@@ -207,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(report.render_table())
                 for note in report.diagnostics:
                     print(f"note: {note}", file=sys.stderr)
-    except GraphRagError as exc:
+    except (GraphRagError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -14,13 +14,13 @@ acceptance path.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import BenchmarkError
 from .extraction import ChatClient
+from .records import read_input
 from .textnorm import canonical_name
 
 log = logging.getLogger(__name__)
@@ -172,47 +172,21 @@ def aggregate(
 # -- benchmark loading ---------------------------------------------------------------
 
 
-def _read_records(path: str) -> list[dict]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise BenchmarkError(f"cannot read benchmark file {path}: {exc}") from exc
-    text = text.strip()
-    if not text:
-        raise BenchmarkError(f"{path}: file is empty")
-    try:
-        data = json.loads(text)
-        if isinstance(data, list):
-            return data
-        raise BenchmarkError(f"{path}: expected a JSON array of records")
-    except json.JSONDecodeError:
-        records = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise BenchmarkError(f"{path}:{lineno}: unparseable record ({exc.msg})") from exc
-        return records
-
-
 def load_benchmark(
     queries_path: str,
-    corpus_path: str | None = None,
 ) -> tuple[list[tuple[str, str]], list[BenchmarkQuery], list[str]]:
-    """Load benchmark queries (and optionally their corpus).
+    """Load benchmark queries from a JSON-array or JSON-lines file.
 
+    Returns ``([], queries, diagnostics)``: the leading document list is
+    always empty, since the corpus is read by ``pipeline.read_corpus``.
     Query records use the public layout: ``query``, ``question_type``,
     ``evidence_list`` (objects with a ``fact`` field, or plain strings),
     ``answer``. Unknown question types are skipped with a diagnostic; records
-    without usable evidence are rejected with one. Corpus records need an id
-    field (doc_id/id/title) and a text field (text/body/passage).
+    without usable evidence are rejected with one.
     """
     diagnostics: list[str] = []
     queries: list[BenchmarkQuery] = []
-    for i, record in enumerate(_read_records(queries_path)):
+    for i, record in enumerate(read_input(queries_path, BenchmarkError)):
         if not isinstance(record, dict):
             diagnostics.append(f"record {i}: not an object; skipped")
             continue
@@ -253,22 +227,7 @@ def load_benchmark(
         raise BenchmarkError(f"{queries_path}: no usable queries")
     for d in diagnostics:
         log.info("benchmark: %s", d)
-
-    documents: list[tuple[str, str]] = []
-    if corpus_path is not None:
-        seen: set[str] = set()
-        for i, record in enumerate(_read_records(corpus_path)):
-            if not isinstance(record, dict):
-                raise BenchmarkError(f"{corpus_path}: record {i} is not an object")
-            doc_id = str(record.get("doc_id") or record.get("id") or record.get("title") or "").strip()
-            body = str(record.get("text") or record.get("body") or record.get("passage") or "")
-            if not doc_id or not body.strip():
-                raise BenchmarkError(f"{corpus_path}: record {i} lacks an id or text")
-            if doc_id in seen:
-                raise BenchmarkError(f"{corpus_path}: duplicate document id {doc_id!r}")
-            seen.add(doc_id)
-            documents.append((doc_id, body))
-    return documents, queries, diagnostics
+    return [], queries, diagnostics
 
 
 # -- optional LLM judge ----------------------------------------------------------------
@@ -305,5 +264,3 @@ def llm_judge_scores(
             covered += 1
     return 100.0 * relevant / len(texts), 100.0 * covered / len(query.gold_evidence)
 
-
-ScoreFn = Callable[[Sequence, BenchmarkQuery], tuple[float, float]]

@@ -6,24 +6,27 @@ supporting (chunk, triple) observations. Degree, adjacency and total weight
 are exposed in undirected form for the community layer, with self-loops
 stored but excluded from those sums.
 
-On-disk format: one JSON record per line, record kinds ``meta``, ``node``,
-``edge``, ``chunk``, in that order. The loader fails closed on unknown kinds,
-out-of-order sections, references to undefined nodes, and corrupt lines.
+On-disk format: the JSON-lines records of ``records``, record kinds
+``meta``, ``node``, ``edge``, ``chunk``, in that order. The loader fails
+closed on unknown kinds, out-of-order sections, references to undefined
+nodes, and corrupt lines.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
 from .errors import GraphFormatError, UnknownNodeError
+from .records import FORMAT_VERSION, dump_jsonl, read_artifact
 from .textnorm import canonical_name, collapse_ws
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = 1
+GRAPH_NAME = "graph.jsonl"
+CHUNKS_NAME = "chunks.jsonl"
 _KIND_ORDER = {"meta": 0, "node": 1, "edge": 2, "chunk": 3}
 
 
@@ -231,10 +234,6 @@ class KnowledgeGraph:
         self.node(node_id)
         return [self._edges[k] for k in sorted(self._out.get(node_id, ()))]
 
-    def in_edges(self, node_id: int) -> list[GraphEdge]:
-        self.node(node_id)
-        return [self._edges[k] for k in sorted(self._in.get(node_id, ()))]
-
     @property
     def edge_count(self) -> int:
         return len(self._edges)
@@ -252,19 +251,6 @@ class KnowledgeGraph:
 
     def degree(self, node_id: int) -> int:
         return len(self.neighbors(node_id))
-
-    def weighted_degree(self, node_id: int) -> float:
-        """Sum of incident edge weights in the undirected view (both
-        directions, all relations), self-loops excluded."""
-        self.node(node_id)
-        total = 0.0
-        for key in sorted(self._out.get(node_id, ())):
-            if key[0] != key[1]:
-                total += self._edges[key].weight
-        for key in sorted(self._in.get(node_id, ())):
-            if key[0] != key[1]:
-                total += self._edges[key].weight
-        return total
 
     def total_weight(self) -> float:
         """Sum of non-loop edge weights: the m of the modularity objective."""
@@ -370,37 +356,8 @@ class KnowledgeGraph:
             problems.append(f"degree sum {degree_sum} != 2 * {slot_count} undirected slots")
         return problems
 
-    def structurally_equal(self, other: "KnowledgeGraph") -> bool:
-        if self._next_id != other._next_id or self.schema_version != other.schema_version:
-            return False
-        if set(self._nodes) != set(other._nodes) or set(self._edges) != set(other._edges):
-            return False
-        for node_id, node in self._nodes.items():
-            o = other._nodes[node_id]
-            if (node.name, node.entity_type, node.attributes, node.source_chunks, node.aliases) != (
-                o.name, o.entity_type, o.attributes, o.source_chunks, o.aliases
-            ):
-                return False
-        for key, edge in self._edges.items():
-            o = other._edges[key]
-            if (edge.weight, edge.source_chunks) != (o.weight, o.source_chunks):
-                return False
-        if set(self._chunks) != set(other._chunks):
-            return False
-        for cid, chunk in self._chunks.items():
-            o = other._chunks[cid]
-            if (chunk.document_id, chunk.text, chunk.char_offset, chunk.embedding) != (
-                o.document_id, o.text, o.char_offset, o.embedding
-            ):
-                return False
-        return True
-
 
 # -- serialization -------------------------------------------------------------
-
-
-def _dump(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 def node_record(node: GraphNode) -> dict:
@@ -437,74 +394,53 @@ def chunk_record(chunk: Chunk) -> dict:
     }
 
 
+def _meta(graph: KnowledgeGraph, next_node_id: int) -> dict:
+    return {"kind": "meta", "format_version": FORMAT_VERSION,
+            "schema_version": graph.schema_version, "next_node_id": next_node_id}
+
+
 def save_graph(graph: KnowledgeGraph, *, include_chunks: bool = True) -> bytes:
     """Serialize to the record-per-line format (meta, nodes, edges, chunks)."""
-    lines = [
-        _dump(
-            {
-                "kind": "meta",
-                "format_version": FORMAT_VERSION,
-                "schema_version": graph.schema_version,
-                "next_node_id": graph._next_id,
-            }
-        )
-    ]
-    for node in graph.nodes():
-        lines.append(_dump(node_record(node)))
-    for edge in graph.edges():
-        lines.append(_dump(edge_record(edge)))
-    if include_chunks:
-        for chunk in graph.chunks():
-            lines.append(_dump(chunk_record(chunk)))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    chunks = map(chunk_record, graph.chunks()) if include_chunks else ()
+    return dump_jsonl(chain(
+        [_meta(graph, graph._next_id)],
+        map(node_record, graph.nodes()),
+        map(edge_record, graph.edges()),
+        chunks,
+    ))
 
 
-def load_graph(data: bytes) -> KnowledgeGraph:
-    """Parse the record-per-line format, failing closed.
+def _read_graph(data: bytes, name: str) -> KnowledgeGraph:
+    """Build a graph from artifact ``name``, failing closed.
 
-    Rejects: missing or repeated meta, wrong format version, kinds out of
-    meta -> node -> edge -> chunk order, edges naming undefined nodes,
-    duplicate ids, and any unparseable line (truncation shows up as a corrupt
-    final record).
+    Beyond the format checks of ``read_artifact`` this rejects: a repeated
+    meta, kinds out of meta -> node -> edge -> chunk order, edges naming
+    undefined nodes, and duplicate ids.
     """
+    meta, records = read_artifact(data, name)
     graph = KnowledgeGraph()
-    text = data.decode("utf-8", errors="strict") if isinstance(data, bytes) else data
-    last_rank = -1
-    saw_meta = False
-    max_node_id = graph._next_id - 1
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            raise GraphFormatError(f"line {lineno}: blank record")
+    try:
+        graph.schema_version = meta.get("schema_version", "")
+        graph._next_id = int(meta["next_node_id"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise GraphFormatError(f"{name}:1: malformed meta record ({exc})") from exc
+    last_rank = 0
+    max_node_id = -1
+    for lineno, record in enumerate(records, start=2):
+        kind = record.get("kind")
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise GraphFormatError(f"line {lineno}: corrupt record ({exc.msg})") from exc
-        if not isinstance(record, dict) or "kind" not in record:
-            raise GraphFormatError(f"line {lineno}: record has no kind")
-        kind = record["kind"]
-        rank = _KIND_ORDER.get(kind)
-        if rank is None:
-            raise GraphFormatError(f"line {lineno}: unknown record kind {kind!r}")
-        if rank < last_rank:
-            raise GraphFormatError(f"line {lineno}: {kind} record out of section order")
-        last_rank = rank
-        try:
-            if kind == "meta":
-                if saw_meta:
-                    raise GraphFormatError(f"line {lineno}: repeated meta record")
-                saw_meta = True
-                if record.get("format_version") != FORMAT_VERSION:
-                    raise GraphFormatError(
-                        f"unsupported format version {record.get('format_version')!r}"
-                    )
-                graph.schema_version = record.get("schema_version", "")
-                graph._next_id = int(record["next_node_id"])
-            elif kind == "node":
-                if not saw_meta:
-                    raise GraphFormatError(f"line {lineno}: node before meta")
+            rank = _KIND_ORDER.get(kind)
+            if rank is None:
+                raise GraphFormatError(f"{name}:{lineno}: unknown record kind {kind!r}")
+            if rank == 0:
+                raise GraphFormatError(f"{name}:{lineno}: repeated meta record")
+            if rank < last_rank:
+                raise GraphFormatError(f"{name}:{lineno}: {kind} record out of section order")
+            last_rank = rank
+            if kind == "node":
                 node_id = int(record["id"])
                 if node_id in graph._nodes:
-                    raise GraphFormatError(f"line {lineno}: duplicate node id {node_id}")
+                    raise GraphFormatError(f"{name}:{lineno}: duplicate node id {node_id}")
                 node = GraphNode(
                     id=node_id,
                     name=str(record["name"]),
@@ -523,11 +459,12 @@ def load_graph(data: bytes) -> KnowledgeGraph:
                 head, tail = int(record["head"]), int(record["tail"])
                 if head not in graph._nodes or tail not in graph._nodes:
                     raise GraphFormatError(
-                        f"line {lineno}: edge references undefined node {head if head not in graph._nodes else tail}"
+                        f"{name}:{lineno}: edge references undefined node "
+                        f"{head if head not in graph._nodes else tail}"
                     )
                 key = (head, tail, str(record["relation"]))
                 if key in graph._edges:
-                    raise GraphFormatError(f"line {lineno}: duplicate edge {key}")
+                    raise GraphFormatError(f"{name}:{lineno}: duplicate edge {key}")
                 edge = GraphEdge(
                     head=head,
                     tail=tail,
@@ -547,30 +484,29 @@ def load_graph(data: bytes) -> KnowledgeGraph:
                     embedding=list(record["embedding"]) if record.get("embedding") is not None else None,
                 )
                 if chunk.id in graph._chunks:
-                    raise GraphFormatError(f"line {lineno}: duplicate chunk id {chunk.id!r}")
+                    raise GraphFormatError(f"{name}:{lineno}: duplicate chunk id {chunk.id!r}")
                 graph._chunks[chunk.id] = chunk
         except (KeyError, TypeError, ValueError) as exc:
-            raise GraphFormatError(f"line {lineno}: malformed {kind} record ({exc})") from exc
-    if not saw_meta:
-        raise GraphFormatError("file has no meta record")
+            raise GraphFormatError(f"{name}:{lineno}: malformed {kind} record ({exc})") from exc
     graph._next_id = max(graph._next_id, max_node_id + 1)
     return graph
 
 
+def load_graph(data: bytes) -> KnowledgeGraph:
+    """Parse ``graph.jsonl`` (nodes, edges and optionally chunks)."""
+    return _read_graph(data, GRAPH_NAME)
+
+
 def save_chunks(graph: KnowledgeGraph) -> bytes:
     """Chunk records alone, same line format, own meta header."""
-    lines = [_dump({"kind": "meta", "format_version": FORMAT_VERSION,
-                    "schema_version": graph.schema_version, "next_node_id": 0})]
-    for chunk in graph.chunks():
-        lines.append(_dump(chunk_record(chunk)))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return dump_jsonl(chain([_meta(graph, 0)], map(chunk_record, graph.chunks())))
 
 
 def load_chunks(data: bytes, into: KnowledgeGraph) -> KnowledgeGraph:
-    """Merge a chunks-only file (meta header + chunk records) into a graph."""
-    loaded = load_graph(data)
+    """Merge ``chunks.jsonl`` (meta header + chunk records) into a graph."""
+    loaded = _read_graph(data, CHUNKS_NAME)
     if loaded.node_count or loaded.edge_count:
-        raise GraphFormatError("chunk file contains node or edge records")
+        raise GraphFormatError(f"{CHUNKS_NAME}: chunk file contains node or edge records")
     for chunk in loaded.chunks():
         into.add_chunk(chunk)
     return into

@@ -10,9 +10,13 @@ An index directory is self-contained:
     reports.jsonl       community reports with embeddings (written by cluster)
     eval_report.json    benchmark metrics (written by eval, plus a .txt table)
 
-Every artifact is byte-deterministic for a fixed config and corpus; the only
-run-dependent field is the manifest's ``created_at`` timestamp. A failed
-build raises before anything is written.
+Every ``.jsonl`` artifact is written and read by the one codec in
+``records``: one compact JSON object per line behind a ``meta`` record that
+carries ``records.FORMAT_VERSION``, the single format version, which the
+manifest also carries. The corpus and benchmark input files go through the
+same module's input reader. Every artifact is byte-deterministic for a fixed
+config and corpus; the only run-dependent field is the manifest's
+``created_at`` timestamp. A failed build raises before anything is written.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import logging
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +57,8 @@ from .errors import BenchmarkError, ConfigError, GraphFormatError, IndexingError
 from .evaluation import MetricsReport, aggregate, load_benchmark, score_retrieval
 from .extraction import ChatClient, HttpChatClient, StubChatClient, index_corpus
 from .graph_store import (
+    CHUNKS_NAME,
+    GRAPH_NAME,
     KnowledgeGraph,
     load_chunks,
     load_graph,
@@ -59,18 +66,15 @@ from .graph_store import (
     save_graph,
 )
 from .ontology import OntologySchema, load_schema
+from .records import FORMAT_VERSION, dump_jsonl, read_artifact, read_input
 from .retrieval import IndexBundle, RetrievalResponse, retrieve
 
 log = logging.getLogger(__name__)
 
 MANIFEST_NAME = "manifest.json"
-GRAPH_NAME = "graph.jsonl"
-CHUNKS_NAME = "chunks.jsonl"
 EMBEDDINGS_NAME = "embeddings.jsonl"
 COMMUNITIES_NAME = "communities.jsonl"
 REPORTS_NAME = "reports.jsonl"
-
-_FORMAT_VERSION = 1
 
 
 # -- corpus ---------------------------------------------------------------------------
@@ -87,21 +91,7 @@ def read_corpus(path: Path) -> list[tuple[str, str]]:
         for p in files:
             documents.append((p.stem, p.read_text("utf-8")))
     elif path.is_file():
-        raw = path.read_text("utf-8").strip()
-        try:
-            records = json.loads(raw)
-            if not isinstance(records, list):
-                raise IndexingError(f"{path}: expected a JSON array of documents")
-        except json.JSONDecodeError:
-            records = []
-            for lineno, line in enumerate(raw.splitlines(), start=1):
-                if not line.strip():
-                    continue
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    raise IndexingError(f"{path}:{lineno}: unparseable record") from exc
-        for i, record in enumerate(records):
+        for i, record in enumerate(read_input(path, IndexingError)):
             if not isinstance(record, dict):
                 raise IndexingError(f"{path}: document {i} is not an object")
             doc_id = record.get("doc_id") or record.get("id") or record.get("title")
@@ -168,11 +158,6 @@ def _dump_json(payload: dict) -> bytes:
     return (json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
 
-def _dump_jsonl(records: list[dict]) -> bytes:
-    lines = [json.dumps(r, sort_keys=True, separators=(",", ":"), ensure_ascii=False) for r in records]
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
 def _write_atomic(path: Path, data: bytes) -> None:
     """Put ``data`` at ``path`` through a temp file in the same directory and
     ``os.replace``, so the artifact is either its old bytes or its new ones,
@@ -193,10 +178,11 @@ def _embeddings_bytes(graph: KnowledgeGraph, embed: EmbeddingClient, dim: int) -
     chunk_ids = graph.chunk_ids()
     texts = [graph.chunk(cid).text for cid in chunk_ids]
     vectors = embed.embed(texts) if texts else []
-    records = [{"kind": "meta", "format_version": _FORMAT_VERSION, "dimension": dim, "count": len(chunk_ids)}]
-    for cid, vec in zip(chunk_ids, vectors):
-        records.append({"kind": "embedding", "ref": cid, "vector": [float(x) for x in vec]})
-    return _dump_jsonl(records)
+    meta = {"kind": "meta", "format_version": FORMAT_VERSION, "dimension": dim, "count": len(chunk_ids)}
+    return dump_jsonl(chain([meta], (
+        {"kind": "embedding", "ref": cid, "vector": [float(x) for x in vec]}
+        for cid, vec in zip(chunk_ids, vectors)
+    )))
 
 
 def build_index(
@@ -236,7 +222,7 @@ def build_index(
     embedding_bytes = _embeddings_bytes(graph, clients.embed, cfg.clients.embed_dim)
 
     manifest = {
-        "format_version": _FORMAT_VERSION,
+        "format_version": FORMAT_VERSION,
         "created_at": datetime.now(timezone.utc).isoformat(),
         "config_hash": cfg.hash(),
         "schema_version": schema.version,
@@ -286,7 +272,7 @@ def read_manifest(index_dir: Path) -> dict:
         manifest = json.loads(path.read_text("utf-8"))
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"{path}: corrupt manifest ({exc.msg})") from exc
-    if not isinstance(manifest, dict) or manifest.get("format_version") != _FORMAT_VERSION:
+    if not isinstance(manifest, dict) or manifest.get("format_version") != FORMAT_VERSION:
         raise GraphFormatError(f"{path}: unsupported manifest format")
     return manifest
 
@@ -311,34 +297,20 @@ def load_index_graph(index_dir: Path) -> tuple[KnowledgeGraph, dict]:
 
 def _load_embeddings(index_dir: Path, manifest: dict) -> VectorStore:
     """Read embeddings.jsonl into a chunk store, each vector written straight
-    into its row of one preallocated matrix."""
-    data = _verified_bytes(index_dir, EMBEDDINGS_NAME, manifest)
-    matrix = None
+    into its row of one matrix preallocated from the meta count."""
+    meta, records = read_artifact(_verified_bytes(index_dir, EMBEDDINGS_NAME, manifest), EMBEDDINGS_NAME)
+    matrix = np.empty((int(meta["count"]), int(meta["dimension"])), dtype=np.float64)
     refs: list[str] = []
-    for lineno, line in enumerate(data.decode("utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise GraphFormatError(f"{EMBEDDINGS_NAME}:{lineno}: unparseable line ({exc.msg})") from exc
-        kind = record.get("kind")
-        if kind == "meta":
-            matrix = np.empty((int(record["count"]), int(record["dimension"])), dtype=np.float64)
-        elif kind == "embedding":
-            if matrix is None:
-                raise GraphFormatError(f"{EMBEDDINGS_NAME}:{lineno}: embedding before meta record")
-            if len(refs) == len(matrix):
-                raise GraphFormatError(f"{EMBEDDINGS_NAME}:{lineno}: more embeddings than the meta count")
-            vector = record["vector"]
-            if len(vector) != matrix.shape[1]:
-                raise GraphFormatError(f"{EMBEDDINGS_NAME}:{lineno}: vector has {len(vector)} dimensions")
-            matrix[len(refs)] = vector
-            refs.append(record["ref"])
-        else:
-            raise GraphFormatError(f"{EMBEDDINGS_NAME}:{lineno}: unknown record kind {kind!r}")
-    if matrix is None:
-        raise GraphFormatError(f"{EMBEDDINGS_NAME}: missing meta record")
+    for lineno, record in enumerate(records, start=2):
+        if record.get("kind") != "embedding":
+            raise GraphFormatError(f"{EMBEDDINGS_NAME}:{lineno}: unknown record kind {record.get('kind')!r}")
+        if len(refs) == len(matrix):
+            raise GraphFormatError(f"{EMBEDDINGS_NAME}:{lineno}: more embeddings than the meta count")
+        vector = record["vector"]
+        if len(vector) != matrix.shape[1]:
+            raise GraphFormatError(f"{EMBEDDINGS_NAME}:{lineno}: vector has {len(vector)} dimensions")
+        matrix[len(refs)] = vector
+        refs.append(record["ref"])
     if len(refs) != len(matrix):
         raise GraphFormatError(f"{EMBEDDINGS_NAME}: {len(refs)} embeddings, meta count {len(matrix)}")
     try:
@@ -397,7 +369,7 @@ def run_clustering(
     params = cfg.clustering.params
     community_records = [{
         "kind": "meta",
-        "format_version": _FORMAT_VERSION,
+        "format_version": FORMAT_VERSION,
         "count": len(communities),
         "params": {
             "alpha": params.alpha,
@@ -419,7 +391,7 @@ def run_clustering(
         })
     report_records = [{
         "kind": "meta",
-        "format_version": _FORMAT_VERSION,
+        "format_version": FORMAT_VERSION,
         "count": len(reports),
         "dimension": cfg.clients.embed_dim,
     }]
@@ -436,8 +408,8 @@ def run_clustering(
             "source_chunks": list(r.source_chunks),
         })
 
-    _write_atomic(out / COMMUNITIES_NAME, _dump_jsonl(community_records))
-    _write_atomic(out / REPORTS_NAME, _dump_jsonl(report_records))
+    _write_atomic(out / COMMUNITIES_NAME, dump_jsonl(community_records))
+    _write_atomic(out / REPORTS_NAME, dump_jsonl(report_records))
 
     by_dimension: dict[str, int] = {}
     for c in communities:
@@ -455,23 +427,9 @@ def load_communities(index_dir: Path) -> tuple[list[Community], dict[int, Commun
         if not (out / name).is_file():
             raise ConfigError(f"no communities at {out}; run `graphrag cluster` first")
 
-    def _records(name: str) -> list[dict]:
-        records = []
-        for lineno, line in enumerate((out / name).read_text("utf-8").splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise GraphFormatError(f"{name}:{lineno}: unparseable line ({exc.msg})") from exc
-        if not records or records[0].get("kind") != "meta":
-            raise GraphFormatError(f"{name}: missing meta record")
-        if records[0].get("format_version") != _FORMAT_VERSION:
-            raise GraphFormatError(f"{name}: unsupported format version")
-        return records[1:]
-
     communities = []
-    for record in _records(COMMUNITIES_NAME):
+    _, records = read_artifact((out / COMMUNITIES_NAME).read_bytes(), COMMUNITIES_NAME)
+    for record in records:
         if record.get("kind") != "community":
             raise GraphFormatError(f"{COMMUNITIES_NAME}: unexpected record kind {record.get('kind')!r}")
         communities.append(
@@ -487,7 +445,8 @@ def load_communities(index_dir: Path) -> tuple[list[Community], dict[int, Commun
             )
         )
     reports: dict[int, CommunityReport] = {}
-    for record in _records(REPORTS_NAME):
+    _, records = read_artifact((out / REPORTS_NAME).read_bytes(), REPORTS_NAME)
+    for record in records:
         if record.get("kind") != "report":
             raise GraphFormatError(f"{REPORTS_NAME}: unexpected record kind {record.get('kind')!r}")
         report = CommunityReport(

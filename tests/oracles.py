@@ -39,6 +39,28 @@ def snapshot(graph) -> tuple[list[int], dict[Pair, float], dict[int, dict]]:
     return nodes, weights, attrs
 
 
+def weighted_degree(graph, node_id: int) -> float:
+    """Sum of the weights of the non-loop edges touching ``node_id``, in
+    either direction and under any relation."""
+    return sum(
+        e.weight for e in graph.edges() if e.head != e.tail and node_id in (e.head, e.tail)
+    )
+
+
+def structurally_equal(a, b) -> bool:
+    """Two KnowledgeGraphs hold the same nodes, edges and chunks, field by
+    field, and the same schema version and next node id."""
+    if (a._next_id, a.schema_version) != (b._next_id, b.schema_version):
+        return False
+    nodes_a = [(n.id, n.name, n.entity_type, n.attributes, n.source_chunks, n.aliases) for n in a.nodes()]
+    nodes_b = [(n.id, n.name, n.entity_type, n.attributes, n.source_chunks, n.aliases) for n in b.nodes()]
+    edges_a = [(e.key, e.weight, e.source_chunks) for e in a.edges()]
+    edges_b = [(e.key, e.weight, e.source_chunks) for e in b.edges()]
+    chunks_a = [(c.id, c.document_id, c.text, c.char_offset, c.embedding) for c in a.chunks()]
+    chunks_b = [(c.id, c.document_id, c.text, c.char_offset, c.embedding) for c in b.chunks()]
+    return (nodes_a, edges_a, chunks_a) == (nodes_b, edges_b, chunks_b)
+
+
 # -- attribute similarity ---------------------------------------------------------------
 
 

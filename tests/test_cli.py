@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 
 import pytest
@@ -85,6 +86,34 @@ class TestIndexCommand:
         assert run(["index", "--config", workspace / "config.yaml", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["counts"]["documents"] == 5
+
+    def test_index_path_is_a_file(self, workspace, tmp_path, capsys):
+        target = tmp_path / "not_a_dir"
+        target.write_text("occupied")
+        assert run(["index", "--config", workspace / "config.yaml", "--index", target]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and str(target) in lines[0]
+        assert "Traceback" not in captured.err + captured.out
+        assert target.read_text() == "occupied"
+
+    def test_failed_replace_is_a_clean_error(self, workspace, capsys, monkeypatch):
+        cfg = workspace / "config.yaml"
+        assert run(["index", "--config", cfg]) == 0
+        manifest = (workspace / "index" / "manifest.json").read_bytes()
+        capsys.readouterr()
+
+        def failing_replace(src, dst):
+            raise OSError(f"disk full writing {dst}")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        assert run(["index", "--config", cfg, "--force"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: disk full")
+        assert "Traceback" not in captured.err + captured.out
+        assert (workspace / "index" / "manifest.json").read_bytes() == manifest
+        assert not [p.name for p in (workspace / "index").iterdir() if p.name.endswith(".tmp")]
 
 
 class TestClusterCommand:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 import pytest
@@ -205,32 +206,28 @@ class TestLoadBenchmark:
         assert len(queries) == 1
         assert any("evidence_list" in d for d in diagnostics)
 
-    def test_corpus_field_variants(self, tmp_path):
-        qpath = tmp_path / "bench.json"
-        qpath.write_text(json.dumps([
-            {"query": "q?", "question_type": "inference", "evidence_list": ["f"]},
-        ]))
-        cpath = tmp_path / "corpus.json"
-        cpath.write_text(json.dumps([
-            {"doc_id": "d1", "text": "body one"},
-            {"id": "d2", "body": "body two"},
-            {"title": "d3", "passage": "body three"},
-        ]))
-        documents, _, _ = load_benchmark(str(qpath), str(cpath))
-        assert documents == [("d1", "body one"), ("d2", "body two"), ("d3", "body three")]
+    def test_one_record_jsonl(self, tmp_path):
+        path = tmp_path / "bench.jsonl"
+        path.write_text('{"query": "a?", "question_type": "inference", "evidence_list": ["f1"]}\n')
+        _, queries, _ = load_benchmark(str(path))
+        assert [q.question for q in queries] == ["a?"]
 
-    def test_duplicate_corpus_id_rejected(self, tmp_path):
-        qpath = tmp_path / "bench.json"
-        qpath.write_text(json.dumps([
-            {"query": "q?", "question_type": "inference", "evidence_list": ["f"]},
-        ]))
-        cpath = tmp_path / "corpus.json"
-        cpath.write_text(json.dumps([
-            {"doc_id": "d1", "text": "x"},
-            {"doc_id": "d1", "text": "y"},
-        ]))
-        with pytest.raises(BenchmarkError, match="duplicate"):
-            load_benchmark(str(qpath), str(cpath))
+    def test_jsonl_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "bench.jsonl"
+        rows = [
+            {"query": "a?", "question_type": "inference", "evidence_list": ["f1"]},
+            {"query": "b?", "question_type": "comparison", "evidence_list": ["f2"]},
+        ]
+        path.write_text("\n" + json.dumps(rows[0]) + "\n\n  \n" + json.dumps(rows[1]) + "\n\n")
+        _, queries, _ = load_benchmark(str(path))
+        assert [q.question for q in queries] == ["a?", "b?"]
+
+    def test_unparseable_line_names_path_and_line(self, tmp_path):
+        path = tmp_path / "bench.jsonl"
+        good = json.dumps({"query": "a?", "question_type": "inference", "evidence_list": ["f1"]})
+        path.write_text(good + "\n\n{broken\n" + good + "\n")
+        with pytest.raises(BenchmarkError, match=re.escape(f"{path}:3: ")):
+            load_benchmark(str(path))
 
 
 class TestBenchmarkQuery:

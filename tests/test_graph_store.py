@@ -98,7 +98,7 @@ class TestEdges:
         g.add_edge(a, "r", b)
         assert g.edge_count == 2
         assert g.degree(a) == 1
-        assert g.weighted_degree(a) == 1.0
+        assert oracles.weighted_degree(g, a) == 1.0
         assert g.total_weight() == 1.0
         assert a not in g.neighbors(a)
 
@@ -151,14 +151,22 @@ class TestSerialization:
     def test_round_trip_structural_equality(self):
         g = small_graph()
         again = load_graph(save_graph(g))
-        assert again.structurally_equal(g)
+        assert oracles.structurally_equal(again, g)
         assert save_graph(again) == save_graph(g)
 
     def test_round_trip_random_graphs(self):
         rng = random.Random(13)
         for _ in range(10):
             g, _ = random_graph(rng, 9)
-            assert load_graph(save_graph(g)).structurally_equal(g)
+            assert oracles.structurally_equal(load_graph(save_graph(g)), g)
+
+    def test_unicode_line_breaks_inside_records(self):
+        # json leaves U+0085 and U+2028 unescaped; they must not end a line
+        g = small_graph()
+        g.add_chunk(Chunk(id="e@00000000", document_id="e", text="a\u2028b\x85c\u2029d", char_offset=0))
+        again = load_graph(save_graph(g))
+        assert again.chunk("e@00000000").text == "a\u2028b\x85c\u2029d"
+        assert oracles.structurally_equal(again, g)
 
     def test_chunks_split_file(self):
         g = small_graph()

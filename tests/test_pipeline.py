@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 import shutil
 
 import pytest
@@ -45,6 +46,36 @@ class TestReadCorpus:
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"id": "d1", "body": "one"}\n{"id": "d2", "body": "two"}\n')
         assert read_corpus(path) == [("d1", "one"), ("d2", "two")]
+
+    def test_field_variants(self, tmp_path):
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps([
+            {"doc_id": "d1", "text": "body one"},
+            {"id": "d2", "body": "body two"},
+            {"title": "d3", "passage": "body three"},
+        ]))
+        assert read_corpus(path) == [("d1", "body one"), ("d2", "body two"), ("d3", "body three")]
+
+    def test_one_record_jsonl(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "d1", "body": "one"}\n')
+        assert read_corpus(path) == [("d1", "one")]
+
+    def test_jsonl_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('\n{"id": "d1", "body": "one"}\n\n   \n{"id": "d2", "body": "two"}\n\n')
+        assert read_corpus(path) == [("d1", "one"), ("d2", "two")]
+
+    def test_jsonl_unicode_line_breaks_inside_text(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "d1", "body": "one\u2028two"}\n{"id": "d2", "body": "three\x85four"}\n', "utf-8")
+        assert read_corpus(path) == [("d1", "one\u2028two"), ("d2", "three\x85four")]
+
+    def test_unparseable_line_names_path_and_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "d1", "body": "one"}\n\n{"id": "d2", "body": \n')
+        with pytest.raises(IndexingError, match=re.escape(f"{path}:3: ")):
+            read_corpus(path)
 
     def test_empty_rejected(self, tmp_path):
         (tmp_path / "corpus.json").write_text("[]")
@@ -113,6 +144,46 @@ class TestBuildIndex:
         graph, manifest = load_index_graph(out)
         assert graph.node_count == manifest["counts"]["nodes"]
         assert graph.chunk_count == manifest["counts"]["chunks"]
+
+
+def _drop_meta(lines):
+    return lines[1:]
+
+
+def _bump_version(lines):
+    meta = json.loads(lines[0])
+    meta["format_version"] += 1
+    return [json.dumps(meta), *lines[1:]]
+
+
+def _blank_line(lines):
+    return [lines[0], "", *lines[1:]]
+
+
+def _truncate(lines):
+    return [*lines[:-1], lines[-1][: len(lines[-1]) // 2]]
+
+
+class TestArtifactFormat:
+    """Every .jsonl artifact goes through one parser: with its manifest
+    digest dropped, a missing or wrong-version meta record, a blank line or
+    a truncated last line is a GraphFormatError naming the file."""
+
+    @pytest.mark.parametrize("corrupt", [_drop_meta, _bump_version, _blank_line, _truncate])
+    @pytest.mark.parametrize(
+        "name", ["graph.jsonl", "chunks.jsonl", "embeddings.jsonl", "communities.jsonl", "reports.jsonl"]
+    )
+    def test_corrupt_artifact_names_the_file(self, museum_cfg, museum_index, tmp_path, name, corrupt):
+        out = tmp_path / "idx"
+        shutil.copytree(museum_index, out)
+        manifest = json.loads((out / "manifest.json").read_text("utf-8"))
+        manifest["artifacts"].pop(name, None)
+        (out / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+        lines = (out / name).read_text("utf-8").splitlines()
+        (out / name).write_text("\n".join(corrupt(lines)) + "\n", "utf-8")
+        with pytest.raises(GraphFormatError, match=re.escape(name)) as info:
+            load_bundle(museum_cfg, out)
+        assert "digest" not in str(info.value)
 
 
 class TestClustering:
