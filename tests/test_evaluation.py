@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from dataclasses import dataclass
@@ -10,7 +11,7 @@ import pytest
 
 import oracles
 from conftest import FIXTURES
-from graphrag.errors import BenchmarkError
+from graphrag.errors import BenchmarkError, IndexingError
 from graphrag.evaluation import (
     BenchmarkQuery,
     MetricsReport,
@@ -22,6 +23,7 @@ from graphrag.evaluation import (
     score_retrieval,
 )
 from graphrag.extraction import ChatClient
+from graphrag.pipeline import build_index
 
 
 @dataclass
@@ -195,6 +197,25 @@ class TestLoadBenchmark:
         path.write_text(json.dumps([{"query": "", "question_type": "inference"}]))
         with pytest.raises(BenchmarkError, match="no usable queries"):
             load_benchmark(str(path))
+
+    def test_duplicate_corpus_id_rejected(self, museum_cfg, tmp_path):
+        # load_benchmark reads only the queries; the benchmark's corpus goes
+        # through build_index, which must refuse a repeated document id
+        qpath = tmp_path / "bench.json"
+        qpath.write_text(json.dumps([
+            {"query": "q?", "question_type": "inference", "evidence_list": ["f"]},
+        ]))
+        cpath = tmp_path / "corpus.json"
+        cpath.write_text(json.dumps([
+            {"doc_id": "d1", "text": "x"},
+            {"doc_id": "d1", "text": "y"},
+        ]))
+        _, queries, _ = load_benchmark(str(qpath))
+        assert len(queries) == 1
+        out = tmp_path / "idx"
+        with pytest.raises(IndexingError, match="duplicate"):
+            build_index(dataclasses.replace(museum_cfg, corpus_path=cpath), index_dir=out)
+        assert not (out / "manifest.json").exists()
 
     def test_empty_evidence_rejected_with_diagnostic(self, tmp_path):
         path = tmp_path / "bench.json"
