@@ -1,4 +1,4 @@
-"""Vector layer: embedding and rerank clients plus a brute-force store.
+"""Vector layer: embedding and rerank clients plus a read-only brute-force store.
 
 The stub clients are fully deterministic and offline. The hashing embedder
 buckets bag-of-token counts through a stable hash (sha1, not the salted
@@ -137,29 +137,17 @@ class TokenOverlapReranker(RerankClient):
 
 
 class VectorStore:
-    """Exact brute-force cosine store over (ref id, vector) rows.
+    """Read-only exact cosine store: row i of one float64 matrix under ref i.
 
-    The rows live in one contiguous float64 matrix, whose capacity doubles
-    as ``add`` fills it. ``similarities`` scores every row with one stacked
-    ``np.matmul`` of 1×dim by dim×1 products. numpy sends each of those
-    vector·vector products through the dot kernel that ``np.dot(query, row)``
-    uses, so every score is bit-identical to ``cosine`` and equal rows tie
-    exactly wherever they sit. A plain mat-vec (``M @ q``), ``einsum`` or
+    ``from_matrix`` is the only constructor; a store never changes after it.
+    ``similarities`` scores every row with one stacked ``np.matmul`` of
+    1×dim by dim×1 products. numpy sends each of those vector·vector
+    products through the dot kernel that ``np.dot(query, row)`` uses, so
+    every score is bit-identical to ``cosine`` and equal rows tie exactly
+    wherever they sit. A plain mat-vec (``M @ q``), ``einsum`` or
     ``(M * q).sum(1)`` reduces in another order and changes low bits, which
-    would break the ref tie-break.
+    would break the ref tie-break of ``top_rows``.
     """
-
-    def __init__(self, dim: int):
-        if dim <= 0:
-            raise ValueError("vector store dimension must be positive")
-        self.dim = dim
-        self._refs: list[str] = []
-        self._by_ref: dict[str, int] = {}
-        # rows [0, len) are in use; the rest is spare capacity
-        self._matrix = np.empty((0, dim), dtype=np.float64)
-        self._norms = np.empty(0, dtype=np.float64)
-        # derived from the refs; dropped by add() and rebuilt on first use
-        self._ref_rank: np.ndarray | None = None
 
     @classmethod
     def from_matrix(cls, refs: Sequence[str], matrix: np.ndarray) -> "VectorStore":
@@ -168,46 +156,25 @@ class VectorStore:
         rows = np.ascontiguousarray(matrix, dtype=np.float64)
         if rows.ndim != 2 or len(rows) != len(refs):
             raise ValueError(f"matrix of shape {rows.shape} does not hold {len(refs)} rows")
-        store = cls(rows.shape[1])
         by_ref = {ref: i for i, ref in enumerate(refs)}
         if len(by_ref) != len(refs):
             dupes = sorted(ref for ref, count in Counter(refs).items() if count > 1)
             raise ValueError(f"duplicate refs {dupes[:3]}")
+        store = cls.__new__(cls)
+        store.dim = rows.shape[1]
         store._refs = list(refs)
         store._by_ref = by_ref
         store._matrix = rows
         store._norms = np.sqrt(_row_dots(rows, rows))
+        store._ref_rank = np.empty(len(refs), dtype=np.int64)
+        store._ref_rank[sorted(range(len(refs)), key=store._refs.__getitem__)] = np.arange(len(refs))
         return store
 
     def __len__(self) -> int:
         return len(self._refs)
 
-    def add(self, ref: str, vector: Sequence[float]) -> None:
-        vec = np.asarray(vector, dtype=np.float64)
-        if vec.shape != (self.dim,):
-            raise ValueError(f"vector for {ref!r} has shape {vec.shape}, expected ({self.dim},)")
-        if ref in self._by_ref:
-            raise ValueError(f"duplicate ref {ref!r}")
-        n = len(self._refs)
-        if n == len(self._matrix):
-            capacity = max(8, 2 * n)
-            matrix = np.empty((capacity, self.dim), dtype=np.float64)
-            matrix[:n] = self._matrix[:n]
-            norms = np.empty(capacity, dtype=np.float64)
-            norms[:n] = self._norms[:n]
-            self._matrix, self._norms = matrix, norms
-        self._matrix[n] = vec
-        self._norms[n] = np.sqrt(vec.dot(vec))
-        self._by_ref[ref] = n
-        self._refs.append(ref)
-        self._ref_rank = None
-
-    def get(self, ref: str) -> np.ndarray | None:
-        idx = self._by_ref.get(ref)
-        return self._matrix[idx] if idx is not None else None
-
     def position(self, ref: str) -> int | None:
-        """Row of ``ref`` in insertion order, the index into ``similarities``."""
+        """Row of ``ref``, the index into ``similarities``."""
         return self._by_ref.get(ref)
 
     def ref(self, row: int) -> str:
@@ -219,39 +186,22 @@ class VectorStore:
 
     def ref_rank(self) -> np.ndarray:
         """Per row, the position of its ref in ascending ref order."""
-        if self._ref_rank is None:
-            order = sorted(range(len(self._refs)), key=self._refs.__getitem__)
-            self._ref_rank = np.empty(len(order), dtype=np.int64)
-            self._ref_rank[order] = np.arange(len(order))
         return self._ref_rank
 
     def similarities(self, query: Sequence[float]) -> np.ndarray:
-        """Cosine of ``query`` against every row, in insertion order; a zero
-        norm on either side scores 0.0. Equal to ``cosine(query, row)``."""
+        """Cosine of ``query`` against every row, in row order; a zero norm
+        on either side scores 0.0. Equal to ``cosine(query, row)``."""
         q = np.asarray(query, dtype=np.float64)
         if q.shape != (self.dim,):
             raise ValueError(f"dimension mismatch: {q.shape} vs ({self.dim},)")
-        n = len(self._refs)
         q_norm = float(np.linalg.norm(q))
         if q_norm == 0.0:
-            return np.zeros(n)
-        dots = _row_dots(self._matrix[:n], q)
-        norms = self._norms[:n]
-        zero = norms == 0.0
-        sims = dots / np.where(zero, 1.0, q_norm * norms)
+            return np.zeros(len(self))
+        dots = _row_dots(self._matrix, q)
+        zero = self._norms == 0.0
+        sims = dots / np.where(zero, 1.0, q_norm * self._norms)
         sims[zero] = 0.0
         return sims
-
-    def rank(self, sims: np.ndarray, k: int) -> list[tuple[str, float]]:
-        """Top k of a ``similarities`` array, ordered by (score desc, ref asc)."""
-        top = top_rows(sims, self.ref_rank(), k)
-        return [(self._refs[i], float(sims[i])) for i in top.tolist()]
-
-    def top_k(self, query: Sequence[float], k: int) -> list[tuple[str, float]]:
-        """Exact top-k by cosine, ties broken by ref id ascending."""
-        if k <= 0:
-            return []
-        return self.rank(self.similarities(query), k)
 
 
 class HttpEmbeddingClient(EmbeddingClient):

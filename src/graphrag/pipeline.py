@@ -89,7 +89,10 @@ def read_corpus(path: Path) -> list[tuple[str, str]]:
     if path.is_dir():
         files = sorted(p for p in path.iterdir() if p.suffix in (".txt", ".md"))
         for p in files:
-            documents.append((p.stem, p.read_text("utf-8")))
+            try:
+                documents.append((p.stem, p.read_text("utf-8")))
+            except UnicodeDecodeError as exc:
+                raise IndexingError(f"{p}: not UTF-8 text ({exc.reason})") from exc
     elif path.is_file():
         for i, record in enumerate(read_input(path, IndexingError)):
             if not isinstance(record, dict):
@@ -299,18 +302,24 @@ def _load_embeddings(index_dir: Path, manifest: dict) -> VectorStore:
     """Read embeddings.jsonl into a chunk store, each vector written straight
     into its row of one matrix preallocated from the meta count."""
     meta, records = read_artifact(_verified_bytes(index_dir, EMBEDDINGS_NAME, manifest), EMBEDDINGS_NAME)
-    matrix = np.empty((int(meta["count"]), int(meta["dimension"])), dtype=np.float64)
+    try:
+        matrix = np.empty((int(meta["count"]), int(meta["dimension"])), dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise GraphFormatError(f"{EMBEDDINGS_NAME}:1: malformed meta record ({exc})") from exc
     refs: list[str] = []
     for lineno, record in enumerate(records, start=2):
         if record.get("kind") != "embedding":
             raise GraphFormatError(f"{EMBEDDINGS_NAME}:{lineno}: unknown record kind {record.get('kind')!r}")
         if len(refs) == len(matrix):
             raise GraphFormatError(f"{EMBEDDINGS_NAME}:{lineno}: more embeddings than the meta count")
-        vector = record["vector"]
-        if len(vector) != matrix.shape[1]:
-            raise GraphFormatError(f"{EMBEDDINGS_NAME}:{lineno}: vector has {len(vector)} dimensions")
-        matrix[len(refs)] = vector
-        refs.append(record["ref"])
+        try:
+            vector = record["vector"]
+            if len(vector) != matrix.shape[1]:
+                raise GraphFormatError(f"{EMBEDDINGS_NAME}:{lineno}: vector has {len(vector)} dimensions")
+            matrix[len(refs)] = vector
+            refs.append(str(record["ref"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise GraphFormatError(f"{EMBEDDINGS_NAME}:{lineno}: malformed embedding record ({exc})") from exc
     if len(refs) != len(matrix):
         raise GraphFormatError(f"{EMBEDDINGS_NAME}: {len(refs)} embeddings, meta count {len(matrix)}")
     try:
@@ -428,12 +437,13 @@ def load_communities(index_dir: Path) -> tuple[list[Community], dict[int, Commun
             raise ConfigError(f"no communities at {out}; run `graphrag cluster` first")
 
     communities = []
+    known: set[int] = set()
     _, records = read_artifact((out / COMMUNITIES_NAME).read_bytes(), COMMUNITIES_NAME)
-    for record in records:
+    for lineno, record in enumerate(records, start=2):
         if record.get("kind") != "community":
-            raise GraphFormatError(f"{COMMUNITIES_NAME}: unexpected record kind {record.get('kind')!r}")
-        communities.append(
-            Community(
+            raise GraphFormatError(f"{COMMUNITIES_NAME}:{lineno}: unexpected record kind {record.get('kind')!r}")
+        try:
+            community = Community(
                 id=int(record["id"]),
                 dimension=str(record["dimension"]),
                 members=frozenset(int(n) for n in record["members"]),
@@ -443,24 +453,38 @@ def load_communities(index_dir: Path) -> tuple[list[Community], dict[int, Commun
                 ),
                 label=str(record.get("label") or ""),
             )
-        )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise GraphFormatError(f"{COMMUNITIES_NAME}:{lineno}: malformed community record ({exc})") from exc
+        if community.id in known:
+            raise GraphFormatError(f"{COMMUNITIES_NAME}:{lineno}: repeated community id {community.id}")
+        known.add(community.id)
+        communities.append(community)
     reports: dict[int, CommunityReport] = {}
-    _, records = read_artifact((out / REPORTS_NAME).read_bytes(), REPORTS_NAME)
-    for record in records:
+    meta, records = read_artifact((out / REPORTS_NAME).read_bytes(), REPORTS_NAME)
+    for lineno, record in enumerate(records, start=2):
         if record.get("kind") != "report":
-            raise GraphFormatError(f"{REPORTS_NAME}: unexpected record kind {record.get('kind')!r}")
-        report = CommunityReport(
-            community_id=int(record["community_id"]),
-            title=str(record["title"]),
-            summary=str(record["summary"]),
-            dimension=str(record["dimension"]),
-            entities=tuple(record["entities"]),
-            relations=tuple(record["relations"]),
-            embedding=tuple(float(x) for x in record["embedding"]),
-            source_chunks=tuple(record["source_chunks"]),
-        )
+            raise GraphFormatError(f"{REPORTS_NAME}:{lineno}: unexpected record kind {record.get('kind')!r}")
+        try:
+            report = CommunityReport(
+                community_id=int(record["community_id"]),
+                title=str(record["title"]),
+                summary=str(record["summary"]),
+                dimension=str(record["dimension"]),
+                entities=tuple(record["entities"]),
+                relations=tuple(record["relations"]),
+                embedding=tuple(float(x) for x in record["embedding"]),
+                source_chunks=tuple(record["source_chunks"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise GraphFormatError(f"{REPORTS_NAME}:{lineno}: malformed report record ({exc})") from exc
+        if len(report.embedding) != meta.get("dimension"):
+            raise GraphFormatError(
+                f"{REPORTS_NAME}:{lineno}: embedding has {len(report.embedding)} dimensions, "
+                f"meta says {meta.get('dimension')!r}"
+            )
+        if report.community_id in reports:
+            raise GraphFormatError(f"{REPORTS_NAME}:{lineno}: repeated report for community {report.community_id}")
         reports[report.community_id] = report
-    known = {c.id for c in communities}
     if set(reports) != known:
         raise GraphFormatError("reports.jsonl does not cover communities.jsonl exactly")
     return communities, reports
@@ -488,17 +512,14 @@ def load_bundle(cfg: PipelineConfig, index_dir: Path | None = None) -> IndexBund
     graph, manifest = load_index_graph(out)
     chunk_store = _load_embeddings(out, manifest)
     communities, reports = load_communities(out)
-    if chunk_store.dim != cfg.clients.embed_dim:
+    dims = {chunk_store.dim, *(len(report.embedding) for report in reports.values())}
+    if dims != {cfg.clients.embed_dim}:
         raise ConfigError(
-            f"index at {out} holds {chunk_store.dim}-dimensional embeddings but "
+            f"index at {out} holds {'- and '.join(map(str, sorted(dims)))}-dimensional embeddings but "
             f"clients.embed_dim is {cfg.clients.embed_dim}; rebuild the index or fix the config"
         )
     _check_chunk_refs(out, graph, chunk_store)
-    report_store = VectorStore(cfg.clients.embed_dim)
-    for community in communities:
-        report = reports[community.id]
-        report_store.add(str(community.id), report.embedding)
-    return IndexBundle.assemble(graph, communities, reports, chunk_store, report_store)
+    return IndexBundle.assemble(graph, communities, reports, chunk_store)
 
 
 def run_retrieve(

@@ -226,71 +226,32 @@ def graph_channel_scores(
     return scores, provenance
 
 
-def score_community_channel(
-    query_vector: np.ndarray,
-    reports: dict[int, CommunityReport],
-    store: VectorStore,
-) -> dict[int, float]:
-    """Cosine of the query against every community report embedding,
-    negatives clamped to zero."""
-    sims = store.similarities(query_vector)
-    scores: dict[int, float] = {}
-    for ref in store.refs():
-        cid = int(ref)
-        if cid not in reports:
-            raise GraphRagError(f"report store holds unknown community {cid}")
-        scores[cid] = max(0.0, float(sims[store.position(ref)]))
-    return scores
+def score_community_channel(query_vector: np.ndarray, report_store: VectorStore) -> np.ndarray:
+    """Cosine of the query against every community report embedding, one
+    per row of ``report_store`` (community order), negatives clamped to
+    zero."""
+    return np.maximum(report_store.similarities(query_vector), 0.0)
 
 
-def _minmax(values: dict[str, float]) -> dict[str, float]:
-    if not values:
-        return {}
-    lo = min(values.values())
-    hi = max(values.values())
-    if hi <= lo:
-        return {k: 0.0 for k in values}
-    return {k: (v - lo) / (hi - lo) for k, v in values.items()}
-
-
-def fuse(
-    beta: float,
-    graph_scores: dict[str, float],
-    memberships: dict[str, frozenset[int]],
-    community_scores: dict[int, float],
-) -> dict[str, float]:
-    """Mix the two channels over a candidate set.
-
-    Each chunk's community score is the best score among communities holding
-    it (zero when it belongs to none). Both channels are min-max normalized
-    over the candidate set, then mixed as beta*graph + (1-beta)*community.
-    A channel with no spread normalizes to all zeros.
-    """
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must lie strictly inside (0, 1)")
-    raw_comm = {}
-    for chunk_id in graph_scores:
-        best = 0.0
-        for cid in sorted(memberships.get(chunk_id, frozenset())):
-            score = community_scores.get(cid, 0.0)
-            if score > best:
-                best = score
-        raw_comm[chunk_id] = best
-    norm_graph = _minmax(graph_scores)
-    norm_comm = _minmax(raw_comm)
-    return {
-        chunk_id: beta * norm_graph[chunk_id] + (1.0 - beta) * norm_comm[chunk_id]
-        for chunk_id in graph_scores
-    }
-
-
-def _minmax_array(values: np.ndarray) -> np.ndarray:
-    """``_minmax`` over an array, with the same arithmetic per element."""
+def _minmax(values: np.ndarray) -> np.ndarray:
+    """Min-max normalize to [0, 1]; an array with no spread maps to zeros."""
     lo = values.min()
     hi = values.max()
     if hi <= lo:
         return np.zeros(len(values))
     return (values - lo) / (hi - lo)
+
+
+def fuse(beta: float, graph_scores: np.ndarray, community_scores: np.ndarray) -> np.ndarray:
+    """Mix the two channels over a candidate set: the arrays are aligned
+    per candidate, ``community_scores`` holding each chunk's best
+    owning-community score. Both channels are min-max normalized over the
+    candidates, then mixed as beta*graph + (1-beta)*community. A channel
+    with no spread normalizes to all zeros.
+    """
+    if not 0.0 < beta < 1.0:
+        raise ValueError("beta must lie strictly inside (0, 1)")
+    return beta * _minmax(graph_scores) + (1.0 - beta) * _minmax(community_scores)
 
 
 def select_candidates(
@@ -333,9 +294,9 @@ def select_candidates(
     if not len(rows):
         return rows, np.zeros(0), np.zeros(0), np.zeros(0)
     prefusion = np.maximum.reduce([
-        _minmax_array(graph_scores[rows]),
-        _minmax_array(community[rows]),
-        _minmax_array(vector[rows]),
+        _minmax(graph_scores[rows]),
+        _minmax(community[rows]),
+        _minmax(vector[rows]),
     ])
     kept = rows[top_rows(prefusion, ref_rank[rows], k)]
     return kept, graph_scores[kept], community[kept], vector[kept]
@@ -368,6 +329,7 @@ class RetrievalResponse:
 class IndexBundle:
     """Everything retrieve() needs, loaded once per index.
 
+    Row i of ``report_store`` is the report embedding of ``communities[i]``.
     ``member_rows`` and ``member_communities`` hold one entry per (chunk,
     community) membership: the chunk's ``chunk_store`` row and the
     community's index in ``communities``.
@@ -375,11 +337,9 @@ class IndexBundle:
 
     graph: KnowledgeGraph
     communities: list[Community]
-    reports: dict[int, CommunityReport]
     chunk_store: VectorStore
     report_store: VectorStore
     trie: EntityTrie
-    chunk_memberships: dict[str, frozenset[int]]
     member_rows: np.ndarray
     member_communities: np.ndarray
 
@@ -390,11 +350,10 @@ class IndexBundle:
         communities: list[Community],
         reports: dict[int, CommunityReport],
         chunk_store: VectorStore,
-        report_store: VectorStore,
     ) -> "IndexBundle":
         """Bundle an index whose chunk store holds a row for every chunk of
-        ``graph``."""
-        memberships: dict[str, set[int]] = {}
+        ``graph`` and whose reports, one per community, share its
+        dimension."""
         rows: list[int] = []
         owners: list[int] = []
         for index, community in enumerate(communities):
@@ -402,17 +361,18 @@ class IndexBundle:
             for node_id in sorted(community.completed_members):
                 chunk_ids |= graph.node(node_id).source_chunks
             for chunk_id in chunk_ids:
-                memberships.setdefault(chunk_id, set()).add(community.id)
                 rows.append(chunk_store.position(chunk_id))
                 owners.append(index)
+        # the reshape keeps an index without communities a (0, dim) matrix
+        embeddings = np.array([reports[c.id].embedding for c in communities], dtype=np.float64)
         return cls(
             graph=graph,
             communities=communities,
-            reports=reports,
             chunk_store=chunk_store,
-            report_store=report_store,
+            report_store=VectorStore.from_matrix(
+                [str(c.id) for c in communities], embeddings.reshape(len(communities), chunk_store.dim)
+            ),
             trie=build_trie(graph),
-            chunk_memberships={k: frozenset(v) for k, v in memberships.items()},
             member_rows=np.array(rows, dtype=np.int64),
             member_communities=np.array(owners, dtype=np.int64),
         )
@@ -491,10 +451,10 @@ def retrieve(
         diagnostics.append(f"embedding client failed: {exc}; vector and community channels disabled")
         log.warning(diagnostics[-1])
 
-    # community channel over whole communities
-    community_scores: dict[int, float] = {}
-    if query_vec is not None and not ablate_community and len(bundle.report_store):
-        community_scores = score_community_channel(query_vec, bundle.reports, bundle.report_store)
+    # community channel over whole communities, in community order
+    community_scores = np.zeros(len(bundle.communities))
+    if query_vec is not None and not ablate_community:
+        community_scores = score_community_channel(query_vec, bundle.report_store)
 
     # graph channel over chunks with provenance near linked entities
     graph_scores: dict[str, float] = {}
@@ -511,7 +471,7 @@ def retrieve(
     rows, s_graph, s_comm, s_vector = select_candidates(
         graph_array,
         chunk_store.similarities(query_vec) if query_vec is not None else None,
-        np.array([community_scores.get(c.id, 0.0) for c in bundle.communities]),
+        community_scores,
         bundle.member_rows,
         bundle.member_communities,
         chunk_store.ref_rank(),
@@ -519,31 +479,37 @@ def retrieve(
     )
     if not len(rows):
         return RetrievalResponse(analysis=analysis, results=(), diagnostics=tuple(diagnostics))
+    fused = fuse(analysis.beta, s_graph, s_comm)
 
-    kept = [chunk_store.ref(row) for row in rows.tolist()]
-    full_graph = dict(zip(kept, s_graph.tolist()))
-    raw_comm = dict(zip(kept, s_comm.tolist()))
-    full_vector = dict(zip(kept, s_vector.tolist()))
-    memberships = {cid: bundle.chunk_memberships.get(cid, frozenset()) for cid in kept}
-    fused = fuse(analysis.beta, full_graph, memberships, community_scores)
+    # the owning communities of each kept row, for provenance
+    is_kept = np.zeros(len(chunk_store), dtype=bool)
+    is_kept[rows] = True
+    hit = is_kept[bundle.member_rows]
+    owners: dict[int, list[int]] = {}
+    for row, index in zip(bundle.member_rows[hit].tolist(), bundle.member_communities[hit].tolist()):
+        owners.setdefault(row, []).append(bundle.communities[index].id)
 
+    # the reranker sees the candidates in fused order, ties by chunk id
+    order = np.lexsort((chunk_store.ref_rank()[rows], -fused))
     results = []
-    for chunk_id in sorted(kept, key=lambda cid: (-fused[cid], cid)):
+    for row, graph_score, comm_score, vector_score, fused_score in zip(
+        *(values[order].tolist() for values in (rows, s_graph, s_comm, s_vector, fused))
+    ):
+        chunk_id = chunk_store.ref(row)
         chunk = graph.chunk(chunk_id)
-        owners = sorted(memberships[chunk_id])
         results.append(
             RetrievalResult(
                 chunk_id=chunk_id,
                 document_id=chunk.document_id,
                 text=chunk.text,
-                s_graph=full_graph[chunk_id],
-                s_comm=raw_comm[chunk_id],
-                s_vector=full_vector[chunk_id],
-                fused=fused[chunk_id],
-                rerank_score=fused[chunk_id],
+                s_graph=graph_score,
+                s_comm=comm_score,
+                s_vector=vector_score,
+                fused=fused_score,
+                rerank_score=fused_score,
                 provenance={
                     "entities": sorted(provenance_entities.get(chunk_id, ())),
-                    "communities": owners,
+                    "communities": sorted(owners.get(row, ())),
                 },
             )
         )

@@ -337,6 +337,13 @@ def minmax_ref(values: Mapping[str, float]) -> dict[str, float]:
     return {key: (v - lo) / (hi - lo) for key, v in values.items()}
 
 
+def fuse_ref(beta: float, graph_scores: Mapping[str, float], community_scores: Mapping[str, float]) -> dict[str, float]:
+    """beta*graph + (1-beta)*community over min-max normalized channels,
+    one chunk at a time."""
+    ng, nc = minmax_ref(graph_scores), minmax_ref(community_scores)
+    return {cid: beta * ng[cid] + (1.0 - beta) * nc[cid] for cid in graph_scores}
+
+
 def select_candidates_ref(
     graph_scores: Mapping[str, float],
     vector_scores: Mapping[str, float] | None,

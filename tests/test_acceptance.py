@@ -16,6 +16,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oracles
@@ -337,34 +338,37 @@ def test_criterion_8_end_to_end_determinism(tmp_path):
         assert "warring states" in top["text"].lower()
 
 
+def best_owner_scores(memberships: dict, community_scores: dict) -> np.ndarray:
+    """Per chunk, the best score among the communities owning it (0 for
+    none): the community channel the candidate stage hands ``fuse``."""
+    return np.array([max((community_scores[c] for c in owners), default=0.0) for owners in memberships.values()])
+
+
 def test_criterion_9_fusion_laws():
     with criterion(9, "fused ranking is scale-invariant per channel; extreme mixes hand the verdict to one channel"):
         rng = random.Random(90)
         for _ in range(200):
             chunk_ids = [f"c{i}" for i in range(rng.randint(2, 6))]
-            graph_scores = {cid: rng.uniform(0, 5) for cid in chunk_ids}
+            graph_scores = np.array([rng.uniform(0, 5) for _ in chunk_ids])
             memberships = {
                 cid: frozenset(rng.sample(range(3), rng.randint(0, 2))) for cid in chunk_ids
             }
             community_scores = {i: rng.uniform(0, 1) for i in range(3)}
             beta = rng.uniform(0.05, 0.95)
-            base = fuse(beta, graph_scores, memberships, community_scores)
+            base = fuse(beta, graph_scores, best_owner_scores(memberships, community_scores))
             for lam in (0.5, 3.0, 17.0):
-                scaled_graph = {cid: lam * s for cid, s in graph_scores.items()}
                 scaled_comm = {i: lam * s for i, s in community_scores.items()}
-                again = fuse(beta, scaled_graph, memberships, scaled_comm)
-                for cid in chunk_ids:
-                    assert again[cid] == pytest.approx(base[cid], abs=1e-9)
+                again = fuse(beta, lam * graph_scores, best_owner_scores(memberships, scaled_comm))
+                assert again.tolist() == pytest.approx(base.tolist(), abs=1e-9)
 
-        # near-1 mix follows the graph channel, near-0 the community channel
-        graph_scores = {"a": 3.0, "b": 1.0}
+        # near-1 mix follows the graph channel (chunk a), near-0 the
+        # community channel (chunk b)
+        graph_scores = np.array([3.0, 1.0])
         memberships = {"a": frozenset({0}), "b": frozenset({1})}
-        community_scores = {0: 0.1, 1: 5.0}
-        graph_led = fuse(0.999999, graph_scores, memberships, community_scores)
-        assert max(graph_led, key=graph_led.get) == "a"
-        community_led = fuse(0.000001, graph_scores, memberships, community_scores)
-        assert max(community_led, key=community_led.get) == "b"
+        comm = best_owner_scores(memberships, {0: 0.1, 1: 5.0})
+        assert np.argmax(fuse(0.999999, graph_scores, comm)) == 0
+        assert np.argmax(fuse(0.000001, graph_scores, comm)) == 1
 
         # a flat graph channel leaves the community channel to break the tie
-        tied = fuse(0.5, {"a": 2.0, "b": 2.0}, memberships, {0: 0.2, 1: 0.9})
-        assert max(tied, key=tied.get) == "b"
+        tied = fuse(0.5, np.array([2.0, 2.0]), best_owner_scores(memberships, {0: 0.2, 1: 0.9}))
+        assert np.argmax(tied) == 1

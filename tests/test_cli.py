@@ -115,6 +115,16 @@ class TestIndexCommand:
         assert (workspace / "index" / "manifest.json").read_bytes() == manifest
         assert not [p.name for p in (workspace / "index").iterdir() if p.name.endswith(".tmp")]
 
+    def test_non_utf8_corpus_file_is_a_clean_error(self, workspace, capsys):
+        latin = workspace / "corpus" / "latin.txt"
+        latin.write_bytes("Bronze ding from the caf\u00e9 collection.".encode("latin-1"))
+        assert run(["index", "--config", workspace / "config.yaml"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "latin.txt" in lines[0]
+        assert "Traceback" not in captured.err + captured.out
+        assert not (workspace / "index" / "manifest.json").exists()
+
 
 class TestClusterCommand:
     def test_requires_index(self, workspace, capsys):
@@ -224,6 +234,23 @@ class TestRetrieveCommand:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert str(index) in lines[0] and dropped in lines[0]
+        assert "Traceback" not in captured.err + captured.out
+
+    def test_community_missing_a_field_is_a_clean_error(self, workspace, capsys):
+        cfg = workspace / "config.yaml"
+        run(["index", "--config", cfg])
+        run(["cluster", "--config", cfg])
+        path = workspace / "index" / "communities.jsonl"
+        lines = path.read_text("utf-8").splitlines()
+        record = json.loads(lines[1])
+        del record["members"]
+        path.write_text("\n".join([lines[0], json.dumps(record), *lines[2:]]) + "\n", "utf-8")
+        capsys.readouterr()
+        assert run(["retrieve", "--config", cfg, "--query", "warring states artifacts"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: communities.jsonl:2: ")
+        assert "members" in lines[0]
         assert "Traceback" not in captured.err + captured.out
 
 

@@ -19,6 +19,7 @@ from graphrag.embedding import (
     TokenOverlapReranker,
     VectorStore,
     cosine,
+    top_rows,
 )
 from graphrag.errors import ClientError
 
@@ -94,40 +95,38 @@ class TestTokenOverlapReranker:
         assert TokenOverlapReranker().score("query", [""])[0] == 0.0
 
 
+def ranked(store, query, k):
+    """The top k (ref, cosine) of ``store``, as the query path ranks them."""
+    sims = store.similarities(query)
+    return [(store.ref(row), float(sims[row])) for row in top_rows(sims, store.ref_rank(), k).tolist()]
+
+
 class TestVectorStore:
     def test_round_trip_and_refs_sorted(self):
-        store = VectorStore(dim=2)
-        store.add("b", [1.0, 0.0])
-        store.add("a", [0.0, 1.0])
+        store = VectorStore.from_matrix(["b", "a"], np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert store.refs() == ["a", "b"]
-        assert np.array_equal(store.get("b"), np.array([1.0, 0.0]))
-        assert store.get("missing") is None
-        assert len(store) == 2
+        assert store.ref(store.position("b")) == "b"
+        assert store.position("missing") is None
+        assert len(store) == 2 and store.dim == 2
 
     def test_duplicate_ref_rejected(self):
-        store = VectorStore(dim=2)
-        store.add("a", [1.0, 0.0])
         with pytest.raises(ValueError):
-            store.add("a", [0.0, 1.0])
+            VectorStore.from_matrix(["a", "a"], np.eye(2))
 
     def test_wrong_dim_rejected(self):
-        store = VectorStore(dim=3)
-        with pytest.raises(ValueError):
-            store.add("a", [1.0, 0.0])
+        for matrix in (np.array([1.0, 0.0]), np.zeros((1, 2, 3))):
+            with pytest.raises(ValueError):
+                VectorStore.from_matrix(["a"], matrix)
 
     def test_top_k_matches_oracle(self):
         rng = random.Random(45)
         for _ in range(20):
             dim = rng.randint(2, 4)
-            store = VectorStore(dim=dim)
-            items = {}
-            for i in range(rng.randint(1, 8)):
-                vec = [rng.uniform(-1, 1) for _ in range(dim)]
-                store.add(f"ref{i}", vec)
-                items[f"ref{i}"] = vec
+            items = {f"ref{i}": [rng.uniform(-1, 1) for _ in range(dim)] for i in range(rng.randint(1, 8))}
+            store = VectorStore.from_matrix(list(items), np.array(list(items.values())))
             query = [rng.uniform(-1, 1) for _ in range(dim)]
             k = rng.randint(1, 6)
-            got = store.top_k(query, k)
+            got = ranked(store, query, k)
             scored = {ref: oracles.cosine_ref(query, vec) for ref, vec in items.items()}
             want = oracles.top_k_ref(scored, k)
             assert [r for r, _ in got] == [r for r, _ in want]
@@ -135,10 +134,8 @@ class TestVectorStore:
                 assert gs == pytest.approx(ws, abs=1e-12)
 
     def test_top_k_ties_break_by_ref(self):
-        store = VectorStore(dim=2)
-        store.add("z", [1.0, 0.0])
-        store.add("a", [2.0, 0.0])  # same direction, same cosine
-        got = store.top_k([1.0, 0.0], 2)
+        store = VectorStore.from_matrix(["z", "a"], np.array([[1.0, 0.0], [2.0, 0.0]]))  # same cosine
+        got = ranked(store, [1.0, 0.0], 2)
         assert [r for r, _ in got] == ["a", "z"]
 
 
@@ -180,45 +177,25 @@ class TestExactScoring:
     def test_similarities_and_top_k_equal_cosine(self, case, rnd):
         rows, query, k = case
         refs = [f"r{i:03d}" for i in range(len(rows))]
-        rnd.shuffle(refs)  # insertion order differs from ref order
-        store = VectorStore(dim=len(query))
-        for n, (ref, row) in enumerate(zip(refs, rows), start=1):
-            store.add(ref, row)
-            if rnd.random() < 0.3:  # queries between adds see the grown matrix
-                self.check(store, refs[:n], rows[:n], query, k)
-        self.check(store, refs, rows, query, k)
-        self.check(VectorStore.from_matrix(refs, np.array(rows)), refs, rows, query, k)
-
-    @staticmethod
-    def check(store, refs, rows, query, k):
+        rnd.shuffle(refs)  # row order differs from ref order
+        store = VectorStore.from_matrix(refs, np.array(rows))
         sims = store.similarities(query)
         assert sims.shape == (len(rows),)
         want = {ref: cosine(query, row) for ref, row in zip(refs, rows)}
         for i, ref in enumerate(refs):
             assert sims[i] == want[ref]
-        got = store.top_k(query, k)
+        got = ranked(store, query, k)
         expected = oracles.top_k_ref(want, k)
         assert [r for r, _ in got] == [r for r, _ in expected]
         assert [s for _, s in got] == [s for _, s in expected]
 
     def test_query_shape_checked(self):
-        store = VectorStore(dim=3)
+        store = VectorStore.from_matrix([], np.zeros((0, 3)))
         for query in ([1.0, 0.0], [[1.0, 0.0, 0.0]]):
             with pytest.raises(ValueError):
                 store.similarities(query)
-            with pytest.raises(ValueError):
-                store.top_k(query, 1)
         assert store.similarities([1.0, 0.0, 0.0]).shape == (0,)
-        assert store.top_k([1.0, 0.0, 0.0], 3) == []
-
-    def test_adding_after_a_query_refreshes_the_ranking(self):
-        store = VectorStore(dim=2)
-        store.add("b", [1.0, 0.0])
-        assert store.top_k([1.0, 0.0], 2) == [("b", 1.0)]
-        store.add("a", [3.0, 0.0])
-        store.add("c", [0.0, 0.0])
-        assert store.top_k([1.0, 0.0], 3) == [("a", 1.0), ("b", 1.0), ("c", 0.0)]
-        assert store.position("c") == 2
+        assert ranked(store, [1.0, 0.0, 0.0], 3) == []
 
     def test_from_matrix_checks_refs(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -226,8 +203,8 @@ class TestExactScoring:
         with pytest.raises(ValueError, match="2 rows"):
             VectorStore.from_matrix(["a", "b"], np.eye(3))
         store = VectorStore.from_matrix(["b", "a"], np.eye(2))
-        assert np.array_equal(store.get("a"), [0.0, 1.0])
-        assert [ref for ref, _ in store.top_k([1.0, 1.0], 2)] == ["a", "b"]
+        assert store.position("a") == 1
+        assert [ref for ref, _ in ranked(store, [1.0, 1.0], 2)] == ["a", "b"]
 
 
 class TestHttpClients:

@@ -77,6 +77,12 @@ class TestReadCorpus:
         with pytest.raises(IndexingError, match=re.escape(f"{path}:3: ")):
             read_corpus(path)
 
+    def test_non_utf8_file_names_the_file(self, tmp_path):
+        (tmp_path / "a.txt").write_text("first doc")
+        (tmp_path / "b.txt").write_bytes("caf\u00e9 doc".encode("latin-1"))
+        with pytest.raises(IndexingError, match=re.escape(str(tmp_path / "b.txt"))):
+            read_corpus(tmp_path)
+
     def test_empty_rejected(self, tmp_path):
         (tmp_path / "corpus.json").write_text("[]")
         with pytest.raises(IndexingError):
@@ -164,14 +170,39 @@ def _truncate(lines):
     return [*lines[:-1], lines[-1][: len(lines[-1]) // 2]]
 
 
+def _drop_field(lines):
+    record = json.loads(lines[1])
+    del record[next(key for key in record if key != "kind")]
+    return [lines[0], json.dumps(record), *lines[2:]]
+
+
+def _repeat_record(lines):
+    return [lines[0], lines[1], *lines[1:]]
+
+
+def _short_vector(lines):
+    record = json.loads(lines[1])
+    key = "vector" if "vector" in record else "embedding"
+    record[key] = record[key][:3]
+    return [lines[0], json.dumps(record), *lines[2:]]
+
+
+ARTIFACTS = ["graph.jsonl", "chunks.jsonl", "embeddings.jsonl", "communities.jsonl", "reports.jsonl"]
+
+
 class TestArtifactFormat:
     """Every .jsonl artifact goes through one parser: with its manifest
-    digest dropped, a missing or wrong-version meta record, a blank line or
-    a truncated last line is a GraphFormatError naming the file."""
+    digest dropped, a missing or wrong-version meta record, a blank line, a
+    truncated last line, a record missing a field, a repeated record or a
+    vector of the wrong length is a GraphFormatError naming the file (and,
+    for a bad record, its line)."""
 
-    @pytest.mark.parametrize("corrupt", [_drop_meta, _bump_version, _blank_line, _truncate])
     @pytest.mark.parametrize(
-        "name", ["graph.jsonl", "chunks.jsonl", "embeddings.jsonl", "communities.jsonl", "reports.jsonl"]
+        "name,corrupt",
+        [(name, corrupt)
+         for corrupt in (_drop_meta, _bump_version, _blank_line, _truncate, _drop_field, _repeat_record)
+         for name in ARTIFACTS]
+        + [("embeddings.jsonl", _short_vector), ("reports.jsonl", _short_vector)],
     )
     def test_corrupt_artifact_names_the_file(self, museum_cfg, museum_index, tmp_path, name, corrupt):
         out = tmp_path / "idx"
@@ -184,6 +215,20 @@ class TestArtifactFormat:
         with pytest.raises(GraphFormatError, match=re.escape(name)) as info:
             load_bundle(museum_cfg, out)
         assert "digest" not in str(info.value)
+        if corrupt in (_drop_field, _short_vector):
+            assert f"{name}:2: " in str(info.value)
+
+    def test_index_without_communities_loads(self, museum_cfg, museum_index, tmp_path):
+        out = tmp_path / "idx"
+        shutil.copytree(museum_index, out)
+        for name in ("communities.jsonl", "reports.jsonl"):
+            meta = json.loads((out / name).read_text("utf-8").splitlines()[0])
+            (out / name).write_text(json.dumps({**meta, "count": 0}) + "\n", "utf-8")
+        bundle = load_bundle(museum_cfg, out)
+        assert bundle.communities == [] and len(bundle.report_store) == 0
+        response = run_retrieve(museum_cfg, "warring states bronze", index_dir=out)
+        assert response.results
+        assert all(r.s_comm == 0.0 and r.provenance["communities"] == [] for r in response.results)
 
 
 class TestClustering:
@@ -271,21 +316,26 @@ class TestRetrieveAndEval:
         assert bundle.graph.node_count == 10
         assert len(bundle.communities) == 5
         assert len(bundle.trie) > 0
-        assert set(bundle.reports) == {c.id for c in bundle.communities}
-        # every member chunk is owned by at least its own community
-        for chunk_id, owners in bundle.chunk_memberships.items():
-            assert owners
-            assert bundle.graph.has_chunk(chunk_id)
-        # the flat membership arrays hold the same relation once per pair,
+        # report store row i is community i
+        store = bundle.report_store
+        assert [store.ref(row) for row in range(len(store))] == [str(c.id) for c in bundle.communities]
+        # the flat membership arrays hold each (community, chunk) pair once:
+        # every chunk with provenance in a community's completed members,
         # and every community owns at least one chunk
-        store = bundle.chunk_store
+        chunks = bundle.chunk_store
         pairs = [
-            (bundle.communities[index].id, store.ref(row))
+            (index, chunks.ref(row))
             for row, index in zip(bundle.member_rows.tolist(), bundle.member_communities.tolist())
         ]
         assert len(pairs) == len(set(pairs))
-        assert {cid for cid, _ in pairs} == {c.id for c in bundle.communities}
-        assert set(pairs) == {(cid, chunk) for chunk, owners in bundle.chunk_memberships.items() for cid in owners}
+        want = {
+            (index, chunk_id)
+            for index, community in enumerate(bundle.communities)
+            for node_id in community.completed_members
+            for chunk_id in bundle.graph.node(node_id).source_chunks
+        }
+        assert set(pairs) == want
+        assert {index for index, _ in pairs} == set(range(len(bundle.communities)))
 
 
 class TestAtomicWrites:

@@ -11,9 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from graphrag.community import Community, edges_within, generate_report
-from graphrag.embedding import HashingEmbedder, TokenOverlapReranker, VectorStore
-from graphrag.errors import GraphRagError, QueryError
+from graphrag.embedding import HashingEmbedder, TokenOverlapReranker, VectorStore, cosine
+from graphrag.errors import QueryError
 from graphrag.graph_store import Chunk, KnowledgeGraph
 from graphrag.pipeline import load_bundle, make_clients
 from graphrag.retrieval import (
@@ -195,65 +194,65 @@ class TestGraphChannel:
         assert scores == {"d@00000000": 1.0}
 
 
+def tied_scores(lo: float):
+    """Scores in [lo, 1] that often tie: a few fixed values or any float."""
+    return st.one_of(st.sampled_from((lo, 0.0, 0.25, 0.5, 1.0)), st.floats(lo, 1.0))
+
+
 class TestCommunityChannel:
-    def report_for(self, graph, node_ids, cid=0):
-        comm = Community(
-            id=cid,
-            dimension="topology",
-            members=frozenset(node_ids),
-            completed_members=frozenset(node_ids),
-            internal_edges=edges_within(graph, frozenset(node_ids)),
-        )
-        return generate_report(comm, graph, embedder=HashingEmbedder(dim=8))
-
     def test_negative_cosine_clamped(self):
-        g = KnowledgeGraph()
-        a = g.upsert_node("a", "T")
-        report = self.report_for(g, {a})
-        store = VectorStore(dim=2)
-        store.add("0", [-1.0, 0.0])
-        scores = score_community_channel(np.array([1.0, 0.0]), {0: report}, store)
-        assert scores == {0: 0.0}
-
-    def test_unknown_community_rejected(self):
-        store = VectorStore(dim=2)
-        store.add("7", [1.0, 0.0])
-        with pytest.raises(GraphRagError, match="unknown community"):
-            score_community_channel(np.array([1.0, 0.0]), {}, store)
+        store = VectorStore.from_matrix(["0", "1", "2"], np.array([[-1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+        scores = score_community_channel(np.array([1.0, 0.0]), store)
+        assert scores.tolist() == [0.0, 0.0, cosine([1.0, 0.0], [1.0, 1.0])]
 
 
 class TestFuse:
     def test_beta_bounds(self):
         for bad in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(ValueError):
-                fuse(bad, {"c": 1.0}, {}, {})
+                fuse(bad, np.array([1.0]), np.array([0.0]))
 
     def test_flat_channels_normalize_to_zero(self):
-        fused = fuse(0.5, {"a": 2.0, "b": 2.0}, {}, {})
-        assert fused == {"a": 0.0, "b": 0.0}
+        fused = fuse(0.5, np.array([2.0, 2.0]), np.array([0.0, 0.0]))
+        assert fused.tolist() == [0.0, 0.0]
 
     def test_best_owning_community_and_minmax(self):
+        # chunk a in community 0, b in 0 and 1, c in none; flat cosines make
+        # every chunk a candidate, and the candidate stage hands fuse each
+        # chunk's best owning-community score
         graph_scores = {"a": 3.0, "b": 1.0, "c": 0.0}
-        memberships = {
-            "a": frozenset({0}),
-            "b": frozenset({0, 1}),
-            "c": frozenset(),
-        }
-        community_scores = {0: 0.2, 1: 0.9}
-        fused = fuse(0.5, graph_scores, memberships, community_scores)
+        kept, s_graph, s_comm, _ = select_candidates(
+            np.array(list(graph_scores.values())),
+            np.zeros(3),
+            np.array([0.2, 0.9]),
+            np.array([0, 1, 1]),
+            np.array([0, 0, 1]),
+            np.arange(3),
+            3,
+        )
+        assert kept.tolist() == [0, 1, 2] and s_comm.tolist() == [0.2, 0.9, 0.0]
+        fused = fuse(0.5, s_graph, s_comm)
         ng = oracles.minmax_ref(graph_scores)
         nc = oracles.minmax_ref({"a": 0.2, "b": 0.9, "c": 0.0})
-        for cid in graph_scores:
-            assert fused[cid] == pytest.approx(0.5 * ng[cid] + 0.5 * nc[cid], abs=1e-12)
+        for i, cid in enumerate(graph_scores):
+            assert fused[i] == pytest.approx(0.5 * ng[cid] + 0.5 * nc[cid], abs=1e-12)
+
+    @given(st.lists(st.tuples(tied_scores(0.0), tied_scores(0.0)), min_size=1, max_size=30), st.floats(0.001, 0.999))
+    def test_matches_dict_reference(self, scores, beta):
+        graph_scores = {f"c{i:02d}": g for i, (g, _) in enumerate(scores)}
+        community_scores = {f"c{i:02d}": c for i, (_, c) in enumerate(scores)}
+        fused = fuse(beta, np.array(list(graph_scores.values())), np.array(list(community_scores.values())))
+        want = oracles.fuse_ref(beta, graph_scores, community_scores)
+        assert fused.tolist() == list(want.values())
 
     def test_membership_in_unscored_community_counts_zero(self):
-        fused = fuse(0.5, {"a": 1.0, "b": 0.0}, {"a": frozenset({9})}, {0: 1.0})
-        assert fused["a"] == pytest.approx(0.5)  # graph channel only
-
-
-def tied_scores(lo: float):
-    """Scores in [lo, 1] that often tie: a few fixed values or any float."""
-    return st.one_of(st.sampled_from((lo, 0.0, 0.25, 0.5, 1.0)), st.floats(lo, 1.0))
+        # chunk a belongs only to community 1, which scores 0
+        _, s_graph, s_comm, _ = select_candidates(
+            np.array([1.0, 0.5]), None, np.array([1.0, 0.0]), np.array([1, 0]), np.array([0, 1]), np.arange(2), 2
+        )
+        assert s_graph.tolist() == [1.0, 0.5] and s_comm.tolist() == [0.0, 1.0]
+        fused = fuse(0.5, s_graph, s_comm)
+        assert fused[0] == pytest.approx(0.5)  # graph channel only
 
 
 @st.composite
