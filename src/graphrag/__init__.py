@@ -1,122 +1,3 @@
 """Ontology-guided knowledge-graph retrieval with attribute-aware communities."""
 
-from .community import (
-    ClusterParams,
-    Community,
-    CommunityReport,
-    Partition,
-    attribute_cluster,
-    attribute_similarity,
-    complete_community,
-    generate_report,
-    louvain_cluster,
-    modularity_multi,
-    multihop_subgraph,
-)
-from .config import PipelineConfig, load_config
-from .embedding import HashingEmbedder, TokenOverlapReranker, VectorStore, cosine
-from .errors import (
-    BenchmarkError,
-    ClientError,
-    ConfigError,
-    EmptyValidSetError,
-    GraphFormatError,
-    GraphRagError,
-    IndexingError,
-    QueryError,
-    SchemaError,
-    UndefinedModularityError,
-    UnknownNodeError,
-)
-from .evaluation import BenchmarkQuery, MetricsReport, aggregate, load_benchmark, score_retrieval
-from .extraction import (
-    ChunkingConfig,
-    IndexingConfig,
-    StubChatClient,
-    StubRule,
-    chunk_document,
-    index_corpus,
-    parse_triples,
-)
-from .graph_store import Chunk, GraphEdge, GraphNode, KnowledgeGraph, load_graph, save_graph
-from .ontology import (
-    CandidateTriple,
-    OntologySchema,
-    ValidatedTriple,
-    load_schema,
-    renormalize_candidates,
-    schema_to_prompt,
-    validate_triple,
-)
-from .pipeline import build_index, load_bundle, run_clustering, run_eval, run_retrieve
-from .retrieval import FusionConfig, IndexBundle, compute_beta, fuse, fusion_weight, retrieve
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BenchmarkError",
-    "BenchmarkQuery",
-    "CandidateTriple",
-    "Chunk",
-    "ChunkingConfig",
-    "ClientError",
-    "ClusterParams",
-    "Community",
-    "CommunityReport",
-    "ConfigError",
-    "EmptyValidSetError",
-    "FusionConfig",
-    "GraphEdge",
-    "GraphFormatError",
-    "GraphNode",
-    "GraphRagError",
-    "HashingEmbedder",
-    "IndexBundle",
-    "IndexingConfig",
-    "IndexingError",
-    "KnowledgeGraph",
-    "MetricsReport",
-    "OntologySchema",
-    "Partition",
-    "PipelineConfig",
-    "QueryError",
-    "SchemaError",
-    "StubChatClient",
-    "StubRule",
-    "TokenOverlapReranker",
-    "UndefinedModularityError",
-    "UnknownNodeError",
-    "ValidatedTriple",
-    "VectorStore",
-    "aggregate",
-    "attribute_cluster",
-    "attribute_similarity",
-    "build_index",
-    "chunk_document",
-    "complete_community",
-    "compute_beta",
-    "cosine",
-    "fuse",
-    "fusion_weight",
-    "generate_report",
-    "index_corpus",
-    "load_benchmark",
-    "load_bundle",
-    "load_config",
-    "load_graph",
-    "load_schema",
-    "louvain_cluster",
-    "modularity_multi",
-    "multihop_subgraph",
-    "parse_triples",
-    "renormalize_candidates",
-    "retrieve",
-    "run_clustering",
-    "run_eval",
-    "run_retrieve",
-    "save_graph",
-    "schema_to_prompt",
-    "score_retrieval",
-    "validate_triple",
-    "__version__",
-]

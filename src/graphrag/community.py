@@ -12,11 +12,12 @@ relation-path patterns.
 from __future__ import annotations
 
 import logging
+import math
 import random
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .embedding import EmbeddingClient, HashingEmbedder
 from .errors import UndefinedModularityError, UnknownNodeError
@@ -59,11 +60,6 @@ class Partition:
                 assignment[node] = new_id
         return cls(assignment=assignment, community_count=len(ordered))
 
-    @classmethod
-    def singletons(cls, node_ids: Iterable[int]) -> "Partition":
-        ids = sorted(node_ids)
-        return cls(assignment={n: i for i, n in enumerate(ids)}, community_count=len(ids))
-
     def members_of(self) -> list[list[int]]:
         groups: list[list[int]] = [[] for _ in range(self.community_count)]
         for node in sorted(self.assignment):
@@ -91,10 +87,12 @@ class ClusterParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError("tau must lie in [0, 1]")
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be non-negative")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be finite and non-negative")
         if self.max_passes < 1:
             raise ValueError("max_passes must be >= 1")
+        if self.seed is not None and not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.attribute_scope not in ("2hop", "full"):
             raise ValueError("attribute_scope must be '2hop' or 'full'")
 
@@ -104,8 +102,10 @@ class Community:
     """A node group along one dimension. ``completed_members`` is the
     boundary-completed superset; equal to ``members`` until completion runs.
     ``dimension`` tags the origin: "topology", "attribute:<key>", or
-    "multihop:<root>:<hops>". ``label`` carries the shared attribute value or
-    the root name where that makes sense."""
+    "multihop:<root>:<hops>". ``internal_edges`` holds the keys of the edges
+    among ``completed_members``, which the community's report lists.
+    ``label`` carries the shared attribute value or the root name where that
+    makes sense."""
 
     id: int
     dimension: str
@@ -558,9 +558,8 @@ def _report_context(community: Community, graph: KnowledgeGraph) -> tuple[list[s
         if node_id in boundary:
             parts.append("(boundary)")
         entity_lines.append(" ".join(parts))
-    edge_keys = community.internal_edges or edges_within(graph, community.completed_members)
     relation_lines = []
-    for head, tail, relation in edge_keys:
+    for head, tail, relation in community.internal_edges:
         relation_lines.append(f"- {graph.node(head).name} -{relation}-> {graph.node(tail).name}")
     histogram = Counter()
     for node_id in member_ids:

@@ -41,6 +41,10 @@ class MultihopSpec:
     hops: int = 2
     patterns: tuple[tuple[str, ...], ...] = ()
 
+    def __post_init__(self) -> None:
+        if self.hops < 0:
+            raise ValueError(f"multihop root {self.root!r}: hops must be >= 0")
+
 
 @dataclass(frozen=True)
 class ClientConfig:
@@ -206,7 +210,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         unknown = set(ablate) - set(ABLATABLE)
         if unknown:
             raise ConfigError(f"ablate: unknown toggles {sorted(unknown)} (known: {ABLATABLE})")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # int() of an infinity overflows
         raise ConfigError(f"{path}: {exc}") from exc
 
     return PipelineConfig(

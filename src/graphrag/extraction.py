@@ -29,7 +29,6 @@ from .ontology import (
     ValidatedTriple,
     renormalize_candidates,
     schema_to_prompt,
-    validate_triple,
 )
 
 log = logging.getLogger(__name__)
@@ -138,6 +137,14 @@ class StubRule:
     relation: str
     tail_type: str
     score: float = 0.0
+
+    def __post_init__(self) -> None:
+        try:
+            groups = re.compile(self.pattern).groupindex
+        except re.error as exc:
+            raise ValueError(f"stub rule pattern {self.pattern!r} does not compile: {exc}") from None
+        if not {"head", "tail"} <= set(groups):
+            raise ValueError(f"stub rule pattern {self.pattern!r} lacks a 'head' or 'tail' group")
 
 
 class StubChatClient(ChatClient):
@@ -367,26 +374,3 @@ def index_corpus(
                 )
     return graph
 
-
-def validate_graph(graph: KnowledgeGraph, schema: OntologySchema) -> list[str]:
-    """Post-hoc full-graph schema check; returns violations, empty if clean."""
-    problems: list[str] = []
-    for node in graph.nodes():
-        if not schema.is_entity_type(node.entity_type):
-            problems.append(f"node {node.id} ({node.name!r}) has undeclared type {node.entity_type!r}")
-    for edge in graph.edges():
-        head = graph.node(edge.head)
-        tail = graph.node(edge.tail)
-        probe = CandidateTriple(
-            head_name=head.name,
-            head_type=head.entity_type,
-            relation=edge.relation,
-            tail_name=tail.name,
-            tail_type=tail.entity_type,
-        )
-        if not validate_triple(probe, schema):
-            problems.append(
-                f"edge {edge.key} violates the schema "
-                f"({head.entity_type} -{edge.relation}-> {tail.entity_type})"
-            )
-    return problems

@@ -6,10 +6,11 @@ supporting (chunk, triple) observations. Degree, adjacency and total weight
 are exposed in undirected form for the community layer, with self-loops
 stored but excluded from those sums.
 
-On-disk format: the JSON-lines records of ``records``, record kinds
-``meta``, ``node``, ``edge``, ``chunk``, in that order. The loader fails
-closed on unknown kinds, out-of-order sections, references to undefined
-nodes, and corrupt lines.
+On-disk format: the JSON-lines records of ``records``. ``graph.jsonl``
+holds a ``meta`` record, then ``node`` and ``edge`` records in that order;
+``chunks.jsonl`` holds a ``meta`` record, then ``chunk`` records. The loaders
+fail closed on kinds that do not belong in the file, out-of-order sections,
+references to undefined nodes, and corrupt lines.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ log = logging.getLogger(__name__)
 
 GRAPH_NAME = "graph.jsonl"
 CHUNKS_NAME = "chunks.jsonl"
-_KIND_ORDER = {"meta": 0, "node": 1, "edge": 2, "chunk": 3}
+# the record kinds each file holds after its meta record, in section order
+_SECTIONS = {GRAPH_NAME: ("node", "edge"), CHUNKS_NAME: ("chunk",)}
 
 
 @dataclass
@@ -67,14 +69,6 @@ class Chunk:
     text: str
     char_offset: int
     embedding: list[float] | None = None
-
-
-@dataclass(frozen=True)
-class Subgraph:
-    """Induced subgraph handle: node ids plus the edge keys among them."""
-
-    node_ids: frozenset[int]
-    edge_keys: tuple[tuple[int, int, str], ...]
 
 
 def make_chunk_id(document_id: str, char_offset: int) -> str:
@@ -169,9 +163,6 @@ class KnowledgeGraph:
         except KeyError:
             raise UnknownNodeError(f"no node with id {node_id}") from None
 
-    def has_node(self, node_id: int) -> bool:
-        return node_id in self._nodes
-
     def node_ids(self) -> list[int]:
         return sorted(self._nodes)
 
@@ -223,9 +214,6 @@ class KnowledgeGraph:
                 edge.source_chunks.add(chunk)
         return edge
 
-    def edge(self, head: int, tail: int, relation: str) -> GraphEdge | None:
-        return self._edges.get((head, tail, collapse_ws(relation)))
-
     def edges(self) -> Iterator[GraphEdge]:
         for key in sorted(self._edges):
             yield self._edges[key]
@@ -269,11 +257,11 @@ class KnowledgeGraph:
             adj[t][h] = adj[t].get(h, 0.0) + w
         return adj
 
-    def neighborhood(self, node_id: int, k: int) -> Subgraph:
-        """Induced subgraph of everything within k undirected hops.
+    def neighborhood(self, node_id: int, k: int) -> frozenset[int]:
+        """Ids of every node within k undirected hops.
 
-        k=0 is the node alone. BFS over the undirected view; all edges among
-        reached nodes are included, whatever their direction or relation.
+        k=0 is the node alone. BFS over the undirected view, whatever the
+        direction or relation of the edges crossed.
         """
         self.node(node_id)
         if k < 0:
@@ -290,11 +278,7 @@ class KnowledgeGraph:
             if not nxt:
                 break
             frontier = nxt
-        edge_keys = tuple(sorted(
-            key for head in reached for key in self._out.get(head, ())
-            if key[1] in reached
-        ))
-        return Subgraph(node_ids=frozenset(reached), edge_keys=edge_keys)
+        return frozenset(reached)
 
     # -- chunks ---------------------------------------------------------------
 
@@ -399,14 +383,13 @@ def _meta(graph: KnowledgeGraph, next_node_id: int) -> dict:
             "schema_version": graph.schema_version, "next_node_id": next_node_id}
 
 
-def save_graph(graph: KnowledgeGraph, *, include_chunks: bool = True) -> bytes:
-    """Serialize to the record-per-line format (meta, nodes, edges, chunks)."""
-    chunks = map(chunk_record, graph.chunks()) if include_chunks else ()
+def save_graph(graph: KnowledgeGraph) -> bytes:
+    """Serialize the nodes and edges to ``graph.jsonl``'s format; the chunks
+    go to ``save_chunks``."""
     return dump_jsonl(chain(
         [_meta(graph, graph._next_id)],
         map(node_record, graph.nodes()),
         map(edge_record, graph.edges()),
-        chunks,
     ))
 
 
@@ -414,9 +397,10 @@ def _read_graph(data: bytes, name: str) -> KnowledgeGraph:
     """Build a graph from artifact ``name``, failing closed.
 
     Beyond the format checks of ``read_artifact`` this rejects: a repeated
-    meta, kinds out of meta -> node -> edge -> chunk order, edges naming
-    undefined nodes, and duplicate ids.
+    meta, a kind the file does not hold, kinds out of section order, edges
+    naming undefined nodes, and duplicate ids.
     """
+    sections = _SECTIONS[name]
     meta, records = read_artifact(data, name)
     graph = KnowledgeGraph()
     try:
@@ -429,11 +413,11 @@ def _read_graph(data: bytes, name: str) -> KnowledgeGraph:
     for lineno, record in enumerate(records, start=2):
         kind = record.get("kind")
         try:
-            rank = _KIND_ORDER.get(kind)
-            if rank is None:
-                raise GraphFormatError(f"{name}:{lineno}: unknown record kind {kind!r}")
-            if rank == 0:
+            if kind == "meta":
                 raise GraphFormatError(f"{name}:{lineno}: repeated meta record")
+            if kind not in sections:
+                raise GraphFormatError(f"{name}:{lineno}: unexpected record kind {kind!r}")
+            rank = sections.index(kind)
             if rank < last_rank:
                 raise GraphFormatError(f"{name}:{lineno}: {kind} record out of section order")
             last_rank = rank
@@ -493,7 +477,7 @@ def _read_graph(data: bytes, name: str) -> KnowledgeGraph:
 
 
 def load_graph(data: bytes) -> KnowledgeGraph:
-    """Parse ``graph.jsonl`` (nodes, edges and optionally chunks)."""
+    """Parse ``graph.jsonl`` (nodes and edges)."""
     return _read_graph(data, GRAPH_NAME)
 
 
@@ -505,8 +489,6 @@ def save_chunks(graph: KnowledgeGraph) -> bytes:
 def load_chunks(data: bytes, into: KnowledgeGraph) -> KnowledgeGraph:
     """Merge ``chunks.jsonl`` (meta header + chunk records) into a graph."""
     loaded = _read_graph(data, CHUNKS_NAME)
-    if loaded.node_count or loaded.edge_count:
-        raise GraphFormatError(f"{CHUNKS_NAME}: chunk file contains node or edge records")
     for chunk in loaded.chunks():
         into.add_chunk(chunk)
     return into

@@ -60,21 +60,6 @@ class OntologySchema:
     def is_entity_type(self, name: str) -> bool:
         return name.casefold() in {t.casefold() for t in self.entity_types}
 
-    def declared_entity_type(self, name: str) -> str | None:
-        """Declared casing for a type name, or None if not in the schema."""
-        folded = name.casefold()
-        for t in self.entity_types:
-            if t.casefold() == folded:
-                return t
-        return None
-
-    def declared_relation(self, name: str) -> str | None:
-        folded = name.casefold()
-        for r in self.relation_types:
-            if r.casefold() == folded:
-                return r
-        return None
-
     def domain_of(self, relation: str) -> frozenset[str] | None:
         entry = self.constraints.get(relation.casefold())
         return entry[0] if entry else None
@@ -82,30 +67,6 @@ class OntologySchema:
     def range_of(self, relation: str) -> frozenset[str] | None:
         entry = self.constraints.get(relation.casefold())
         return entry[1] if entry else None
-
-    def to_dict(self) -> dict:
-        ents = []
-        for t in self.entity_types:
-            item: dict = {"name": t}
-            if self.entity_descriptions.get(t):
-                item["description"] = self.entity_descriptions[t]
-            ents.append(item)
-        rels = []
-        folded_to_declared = {t.casefold(): t for t in self.entity_types}
-        for r in self.relation_types:
-            dom, rng = self.constraints[r.casefold()]
-            item = {
-                "name": r,
-                "domain": sorted(folded_to_declared[t] for t in dom),
-                "range": sorted(folded_to_declared[t] for t in rng),
-            }
-            if self.relation_descriptions.get(r):
-                item["description"] = self.relation_descriptions[r]
-            rels.append(item)
-        return {"version": self.version, "entity_types": ents, "relations": rels}
-
-    def serialize(self) -> bytes:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=False).encode("utf-8")
 
 
 @dataclass(frozen=True)

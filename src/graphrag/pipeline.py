@@ -220,7 +220,7 @@ def build_index(
     if graph.node_count == 0:
         raise IndexingError("extraction produced no entities; check the schema and extraction rules")
 
-    graph_bytes = save_graph(graph, include_chunks=False)
+    graph_bytes = save_graph(graph)
     chunk_bytes = save_chunks(graph)
     embedding_bytes = _embeddings_bytes(graph, clients.embed, cfg.clients.embed_dim)
 
@@ -507,6 +507,18 @@ def _check_chunk_refs(out: Path, graph: KnowledgeGraph, chunk_store: VectorStore
         )
 
 
+def _check_community_members(graph: KnowledgeGraph, communities: list[Community]) -> None:
+    """Every community member must be a graph node. ``communities`` is in
+    file order, so record n of communities.jsonl sits on line n + 1."""
+    nodes = set(graph.node_ids())
+    for lineno, community in enumerate(communities, start=2):
+        unknown = sorted(community.completed_members - nodes)
+        if unknown:
+            raise GraphFormatError(
+                f"{COMMUNITIES_NAME}:{lineno}: community {community.id} names unknown node {unknown[0]}"
+            )
+
+
 def load_bundle(cfg: PipelineConfig, index_dir: Path | None = None) -> IndexBundle:
     out = Path(index_dir) if index_dir is not None else cfg.index_dir
     graph, manifest = load_index_graph(out)
@@ -519,6 +531,7 @@ def load_bundle(cfg: PipelineConfig, index_dir: Path | None = None) -> IndexBund
             f"clients.embed_dim is {cfg.clients.embed_dim}; rebuild the index or fix the config"
         )
     _check_chunk_refs(out, graph, chunk_store)
+    _check_community_members(graph, communities)
     return IndexBundle.assemble(graph, communities, reports, chunk_store)
 
 

@@ -41,8 +41,8 @@ class FusionConfig:
     final_k: int = 8
 
     def __post_init__(self) -> None:
-        if self.w1 <= 0 or self.w2 <= 0:
-            raise ValueError("w1 and w2 must be positive")
+        if not (0 < self.w1 < math.inf and 0 < self.w2 < math.inf):
+            raise ValueError("w1 and w2 must be positive and finite")
         if self.khop < 0:
             raise ValueError("khop must be >= 0")
         if self.final_k < 1 or self.topk_candidates < 1:
@@ -151,12 +151,18 @@ def link_entities(query: str, trie: EntityTrie) -> list[EntityLink]:
 
 
 def fusion_weight(entity_density: float, abstraction_score: float, w1: float, w2: float) -> float:
-    """Logistic mix weight; strictly inside (0, 1)."""
+    """Logistic mix weight; strictly inside (0, 1).
+
+    Past |x| of about 36.7 the logistic rounds to 1.0 (or, far below, to
+    0.0), so the result is clamped to the nearest float inside the interval.
+    """
     x = w1 * entity_density - w2 * abstraction_score
     if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    z = math.exp(x)
-    return z / (1.0 + z)
+        beta = 1.0 / (1.0 + math.exp(-x))
+    else:
+        z = math.exp(x)
+        beta = z / (1.0 + z)
+    return min(max(beta, math.ulp(0.0)), math.nextafter(1.0, 0.0))
 
 
 def compute_beta(query: str, trie: EntityTrie, cfg: FusionConfig | None = None) -> QueryAnalysis:
@@ -214,14 +220,13 @@ def graph_channel_scores(
     scores: dict[str, float] = {}
     provenance: dict[str, set[str]] = {}
     for link in analysis.linked_entities:
-        sub = graph.neighborhood(link.node_id, khop)
-        denom = len(sub.node_ids)
+        reached = graph.neighborhood(link.node_id, khop)
         presence: Counter[str] = Counter()
-        for node_id in sub.node_ids:
+        for node_id in reached:
             presence.update(graph.node(node_id).source_chunks)
         entity_name = graph.node(link.node_id).name
         for chunk_id, count in sorted(presence.items()):
-            scores[chunk_id] = scores.get(chunk_id, 0.0) + link.confidence * count / denom
+            scores[chunk_id] = scores.get(chunk_id, 0.0) + link.confidence * count / len(reached)
             provenance.setdefault(chunk_id, set()).add(entity_name)
     return scores, provenance
 
@@ -439,7 +444,7 @@ def retrieve(
     cfg = cfg or FusionConfig()
     k = final_k if final_k is not None else cfg.final_k
     if k < 1:
-        raise ValueError("final_k must be >= 1")
+        raise QueryError(f"k must be >= 1, got {k}")
     diagnostics: list[str] = []
     analysis = compute_beta(query, bundle.trie, cfg)
     graph = bundle.graph

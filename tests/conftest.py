@@ -42,6 +42,18 @@ def museum_index(museum_cfg: PipelineConfig, tmp_path_factory) -> Path:
     return out
 
 
+def set_config_value(raw: dict, section: str, key: str, value) -> None:
+    """Set one key of a parsed pipeline config. ``section`` is a top-level
+    section, or "multihop" / "stub_rules" for the first entry of
+    ``clustering.multihop`` / ``clients.stub_rules``."""
+    if section == "multihop":
+        raw["clustering"]["multihop"][0][key] = value
+    elif section == "stub_rules":
+        raw["clients"]["stub_rules"][0][key] = value
+    else:
+        raw[section][key] = value
+
+
 def random_graph(
     rng: random.Random,
     max_nodes: int,

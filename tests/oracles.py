@@ -2,8 +2,8 @@
 
 Everything here favors clarity over speed: literal double sums, exhaustive
 enumeration, full sorts. Nothing imports package internals, so a bug cannot
-hide in shared code; the one package-shaped oracle below takes the package
-pieces it needs as arguments.
+hide in shared code; an oracle that must build a package object takes the
+package class it needs as an argument.
 """
 
 from __future__ import annotations
@@ -199,6 +199,13 @@ def pairwise_initial_level(graph, scope: str, level_cls, similarity):
 # -- partition enumeration ---------------------------------------------------------------
 
 
+def singletons(partition_cls, node_ids: Iterable[int]):
+    """The partition that puts every node in its own community, numbered in
+    ascending node order, built as a ``partition_cls``."""
+    ids = sorted(node_ids)
+    return partition_cls(assignment={n: i for i, n in enumerate(ids)}, community_count=len(ids))
+
+
 def set_partitions(items: Sequence[int]) -> Iterator[dict[int, int]]:
     """Every partition of ``items`` as an assignment map, via restricted
     growth strings. Bell(len(items)) results."""
@@ -255,6 +262,27 @@ def canonical_assignment(assignment: Mapping[int, int]) -> tuple[int, ...]:
             relabel[label] = len(relabel)
         out.append(relabel[label])
     return tuple(out)
+
+
+# -- schema -------------------------------------------------------------------------------
+
+
+def validate_graph(graph, schema) -> list[str]:
+    """Every schema violation in a graph, empty when it is clean: a node of
+    an undeclared type, or an edge whose relation is undeclared or whose head
+    or tail type lies outside the relation's domain or range."""
+    declared = {t.casefold() for t in schema.entity_types}
+    problems = []
+    for node in graph.nodes():
+        if node.entity_type.casefold() not in declared:
+            problems.append(f"node {node.id} ({node.name!r}) has undeclared type {node.entity_type!r}")
+    for edge in graph.edges():
+        head_type = graph.node(edge.head).entity_type
+        tail_type = graph.node(edge.tail).entity_type
+        domain, range_ = schema.constraints.get(edge.relation.casefold(), ((), ()))
+        if head_type.casefold() not in domain or tail_type.casefold() not in range_:
+            problems.append(f"edge {edge.key} violates the schema ({head_type} -{edge.relation}-> {tail_type})")
+    return problems
 
 
 # -- traversal ----------------------------------------------------------------------------

@@ -150,7 +150,7 @@ def test_criterion_3_clustering_optimality():
             best, _ = oracles.best_partitions(nodes, weights, attrs, alpha)
             if q >= best - 1e-9:
                 optimal += 1
-            q_single = modularity_multi(graph, Partition.singletons(ids), alpha)
+            q_single = modularity_multi(graph, oracles.singletons(Partition, ids), alpha)
             assert q >= q_single - 1e-12
         assert optimal >= 8, f"only {optimal}/10 reached the exhaustive optimum"
 

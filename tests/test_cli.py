@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import os
 import shutil
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+import yaml
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import FIXTURES
+from conftest import FIXTURES, set_config_value
 from graphrag.cli import main
 
 MUSEUM = FIXTURES / "museum"
@@ -282,3 +287,55 @@ class TestEvalCommand:
         capsys.readouterr()
         assert run(["eval", workspace / "nothere.json", "--config", cfg]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+# one config key at a time, each set to a value from a fixed pool
+PERTURBED_KEYS = (
+    [("fusion", key) for key in ("w1", "w2", "khop", "topk_candidates", "final_k")]
+    + [("clustering", key) for key in
+       ("alpha", "tau", "max_passes", "min_community_size", "seed", "attribute_scope")]
+    + [("multihop", "hops"), ("stub_rules", "pattern")]
+)
+VALUE_POOL = (None, -1, 0, 0.5, math.nan, math.inf, -math.inf, "x", "(", [1], {"a": 1}, True, 40)
+
+
+@pytest.fixture(scope="module")
+def fuzz_config(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-fuzz") / "config.yaml"
+
+
+class TestNoTraceback:
+    """Whatever the query text, the --k value or one perturbed config value,
+    retrieve exits 0, or exits 1 with one stderr line starting 'error: '.
+    The clients stay in stub mode, so no example opens a socket."""
+
+    @settings(max_examples=80)
+    @given(
+        query=st.one_of(st.just("Sword of Goujian"), st.text(max_size=30)),
+        k=st.one_of(st.none(), st.integers(-2, 40)),
+        perturbation=st.one_of(
+            st.none(), st.tuples(st.sampled_from(PERTURBED_KEYS), st.sampled_from(VALUE_POOL))
+        ),
+    )
+    @example(query="Sword of Goujian", k=None, perturbation=(("fusion", "w1"), 40))
+    @example(query="Sword of Goujian", k=0, perturbation=None)
+    @example(query="Sword of Goujian", k=None, perturbation=(("stub_rules", "pattern"), "("))
+    @example(query="Sword of Goujian", k=None, perturbation=(("fusion", "khop"), math.inf))
+    def test_exit_contract(self, museum_index, fuzz_config, query, k, perturbation):
+        raw = yaml.safe_load((MUSEUM / "config.yaml").read_text("utf-8"))
+        raw["schema"] = str(MUSEUM / "schema.json")
+        raw["corpus"] = str(MUSEUM / "corpus")
+        if perturbation is not None:
+            (section, key), value = perturbation
+            set_config_value(raw, section, key, value)
+        fuzz_config.write_text(yaml.safe_dump(raw), "utf-8")
+        args = ["retrieve", "--config", str(fuzz_config), "--index", str(museum_index), f"--query={query}"]
+        if k is not None:
+            args.append(f"--k={k}")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(args)
+        if code != 0:
+            assert code == 1
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()

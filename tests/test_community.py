@@ -96,7 +96,7 @@ class TestModularity:
         g = KnowledgeGraph()
         ids = [g.upsert_node(f"n{i}", "T") for i in range(3)]
         with pytest.raises(UndefinedModularityError):
-            modularity_multi(g, Partition.singletons(ids), 0.5)
+            modularity_multi(g, oracles.singletons(Partition, ids), 0.5)
 
     def test_self_loops_do_not_count(self):
         g, ids = two_triangles()
@@ -146,7 +146,7 @@ class TestLouvain:
             for alpha in (0.0, 0.7):
                 part = louvain_cluster(g, ClusterParams(alpha=alpha, attribute_scope="full"))
                 q = modularity_multi(g, part, alpha)
-                q0 = modularity_multi(g, Partition.singletons(ids), alpha)
+                q0 = modularity_multi(g, oracles.singletons(Partition, ids), alpha)
                 assert q >= q0 - 1e-12
 
     def test_deterministic_without_seed(self):
@@ -189,7 +189,7 @@ class TestLouvain:
             g, ids = connected_graph(rng, 8)
             part = louvain_cluster(g, ClusterParams(alpha=0.5, attribute_scope="2hop"))
             q = modularity_multi(g, part, 0.5)
-            q0 = modularity_multi(g, Partition.singletons(ids), 0.5)
+            q0 = modularity_multi(g, oracles.singletons(Partition, ids), 0.5)
             assert q >= q0 - 1e-12
 
     def test_empty_graph_rejected(self):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from conftest import FIXTURES
+from conftest import FIXTURES, set_config_value
 from graphrag.config import load_config
 from graphrag.errors import ConfigError
 
@@ -93,6 +93,24 @@ def test_bad_ablate_value(tmp_path):
 def test_tau_out_of_range(tmp_path):
     path = rewrite(tmp_path, lambda raw: raw["clustering"].update(tau=1.5))
     with pytest.raises(ConfigError):
+        load_config(path)
+
+
+@pytest.mark.parametrize("section,key,value,message", [
+    ("clustering", "alpha", float("nan"), "alpha"),
+    ("clustering", "alpha", float("inf"), "alpha"),
+    ("clustering", "seed", [1], "seed"),
+    ("clustering", "max_passes", float("inf"), "infinity"),
+    ("fusion", "w1", float("nan"), "w1"),
+    ("fusion", "w2", float("inf"), "w2"),
+    ("fusion", "khop", float("-inf"), "infinity"),
+    ("multihop", "hops", -1, "hops"),
+    ("stub_rules", "pattern", "(unclosed", "pattern"),
+    ("stub_rules", "pattern", "no groups", "group"),
+])
+def test_bad_value_rejected_at_load(tmp_path, section, key, value, message):
+    path = rewrite(tmp_path, lambda raw: set_config_value(raw, section, key, value))
+    with pytest.raises(ConfigError, match=message):
         load_config(path)
 
 

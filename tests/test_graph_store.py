@@ -130,47 +130,42 @@ class TestNeighborhood:
             pairs = [(e.head, e.tail) for e in g.edges()]
             start = rng.choice(ids)
             k = rng.randint(0, 3)
-            sub = g.neighborhood(start, k)
-            assert sub.node_ids == frozenset(oracles.khop_nodes(pairs, start, k))
-            induced = sorted(e.key for e in g.edges() if e.head in sub.node_ids and e.tail in sub.node_ids)
-            assert sub.edge_keys == tuple(induced)
-
-    def test_induced_edges_only(self):
-        g = small_graph()
-        sub = g.neighborhood(g.find_nodes("Han")[0], 1)
-        inside = sub.node_ids
-        for h, t, _rel in sub.edge_keys:
-            assert h in inside and t in inside
+            assert g.neighborhood(start, k) == frozenset(oracles.khop_nodes(pairs, start, k))
 
     def test_unknown_start(self):
         with pytest.raises(UnknownNodeError):
             small_graph().neighborhood(99, 1)
 
 
+def round_trip(graph: KnowledgeGraph) -> KnowledgeGraph:
+    """Write a graph to its two files and load it back."""
+    return load_chunks(save_chunks(graph), into=load_graph(save_graph(graph)))
+
+
 class TestSerialization:
     def test_round_trip_structural_equality(self):
         g = small_graph()
-        again = load_graph(save_graph(g))
+        again = round_trip(g)
         assert oracles.structurally_equal(again, g)
-        assert save_graph(again) == save_graph(g)
+        assert (save_graph(again), save_chunks(again)) == (save_graph(g), save_chunks(g))
 
     def test_round_trip_random_graphs(self):
         rng = random.Random(13)
         for _ in range(10):
             g, _ = random_graph(rng, 9)
-            assert oracles.structurally_equal(load_graph(save_graph(g)), g)
+            assert oracles.structurally_equal(round_trip(g), g)
 
     def test_unicode_line_breaks_inside_records(self):
         # json leaves U+0085 and U+2028 unescaped; they must not end a line
         g = small_graph()
         g.add_chunk(Chunk(id="e@00000000", document_id="e", text="a\u2028b\x85c\u2029d", char_offset=0))
-        again = load_graph(save_graph(g))
+        again = round_trip(g)
         assert again.chunk("e@00000000").text == "a\u2028b\x85c\u2029d"
         assert oracles.structurally_equal(again, g)
 
     def test_chunks_split_file(self):
         g = small_graph()
-        bare = load_graph(save_graph(g, include_chunks=False))
+        bare = load_graph(save_graph(g))
         assert bare.chunk_count == 0
         load_chunks(save_chunks(g), into=bare)
         assert bare.chunk_count == 1
@@ -180,6 +175,12 @@ class TestSerialization:
         g = small_graph()
         with pytest.raises(GraphFormatError, match="chunk"):
             load_chunks(save_graph(g), into=KnowledgeGraph())
+
+    def test_graph_file_rejects_chunk_records(self):
+        chunk_line = save_chunks(small_graph()).splitlines(keepends=True)[1]
+        data = save_graph(small_graph()) + chunk_line
+        with pytest.raises(GraphFormatError, match=r"graph\.jsonl:7: .*'chunk'"):
+            load_graph(data)
 
     def test_missing_meta(self):
         data = save_graph(small_graph()).decode().splitlines()

@@ -187,22 +187,37 @@ def _short_vector(lines):
     return [lines[0], json.dumps(record), *lines[2:]]
 
 
+def _chunk_record(lines):
+    # a chunk record whose id collides with a chunk of chunks.jsonl
+    chunk_id = next(c for line in lines[1:] for c in json.loads(line)["source_chunks"])
+    record = {"kind": "chunk", "id": chunk_id, "document_id": "x", "char_offset": 1, "text": "x"}
+    return [*lines, json.dumps(record)]
+
+
+def _unknown_member(lines):
+    record = json.loads(lines[1])
+    record["completed_members"].append(9999)
+    return [lines[0], json.dumps(record), *lines[2:]]
+
+
 ARTIFACTS = ["graph.jsonl", "chunks.jsonl", "embeddings.jsonl", "communities.jsonl", "reports.jsonl"]
 
 
 class TestArtifactFormat:
     """Every .jsonl artifact goes through one parser: with its manifest
     digest dropped, a missing or wrong-version meta record, a blank line, a
-    truncated last line, a record missing a field, a repeated record or a
-    vector of the wrong length is a GraphFormatError naming the file (and,
-    for a bad record, its line)."""
+    truncated last line, a record missing a field, a repeated record, a
+    vector of the wrong length, a chunk record in graph.jsonl or a community
+    member that is not a graph node is a GraphFormatError naming the file
+    (and, for a bad record, its line)."""
 
     @pytest.mark.parametrize(
         "name,corrupt",
         [(name, corrupt)
          for corrupt in (_drop_meta, _bump_version, _blank_line, _truncate, _drop_field, _repeat_record)
          for name in ARTIFACTS]
-        + [("embeddings.jsonl", _short_vector), ("reports.jsonl", _short_vector)],
+        + [("embeddings.jsonl", _short_vector), ("reports.jsonl", _short_vector),
+           ("graph.jsonl", _chunk_record), ("communities.jsonl", _unknown_member)],
     )
     def test_corrupt_artifact_names_the_file(self, museum_cfg, museum_index, tmp_path, name, corrupt):
         out = tmp_path / "idx"
@@ -215,8 +230,12 @@ class TestArtifactFormat:
         with pytest.raises(GraphFormatError, match=re.escape(name)) as info:
             load_bundle(museum_cfg, out)
         assert "digest" not in str(info.value)
-        if corrupt in (_drop_field, _short_vector):
+        if corrupt in (_drop_field, _short_vector, _unknown_member):
             assert f"{name}:2: " in str(info.value)
+        if corrupt is _chunk_record:
+            assert f"{name}:{len(lines) + 1}: " in str(info.value)
+        if corrupt is _unknown_member:
+            assert "9999" in str(info.value)
 
     def test_index_without_communities_loads(self, museum_cfg, museum_index, tmp_path):
         out = tmp_path / "idx"

@@ -99,6 +99,11 @@ class TestFusionWeight:
         for _ in range(200):
             b = fusion_weight(rng.uniform(0, 1), rng.uniform(0, 5), rng.uniform(0, 10), rng.uniform(0, 10))
             assert 0.0 < b < 1.0
+            # far past the |x| of about 36.7 where the logistic rounds to 0 or 1
+            b = fusion_weight(1.0, rng.uniform(0, 1000), rng.uniform(0, 1000), rng.uniform(0, 10))
+            assert 0.0 < b < 1.0
+        assert 0.0 < fusion_weight(1.0, 0.0, 1000.0, 1.0) < 1.0
+        assert 0.0 < fusion_weight(0.0, 1000.0, 4.0, 10.0) < 1.0
 
     def test_monotone_in_density(self):
         lo = fusion_weight(0.2, 1.0, 4.0, 1.0)
