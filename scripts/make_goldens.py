@@ -28,6 +28,7 @@ from graphrag.pipeline import (  # noqa: E402
     build_index,
     load_communities,
     load_index_graph,
+    read_manifest,
     run_clustering,
     run_eval,
     run_retrieve,
@@ -40,7 +41,7 @@ WS_QUERY = "Which artifacts date to the Warring States period?"
 ARTIFACTS = (
     "graph.jsonl",
     "chunks.jsonl",
-    "embeddings.jsonl",
+    "embeddings.npy",
     "communities.jsonl",
     "reports.jsonl",
     "eval_report.json",
@@ -95,8 +96,8 @@ def main() -> int:
     report = run_eval(cfg, FIXTURE / "benchmark.json", index_dir=index_dir)
     response = run_retrieve(cfg, WS_QUERY, index_dir=index_dir)
 
-    graph, _ = load_index_graph(index_dir)
-    communities, _reports = load_communities(index_dir)
+    graph, final_manifest = load_index_graph(index_dir)
+    communities, _reports = load_communities(index_dir, final_manifest)
     topology = [c for c in communities if c.dimension == "topology"]
     assignment = {
         node: community.id
@@ -118,7 +119,8 @@ def main() -> int:
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for name in ARTIFACTS:
         shutil.copyfile(index_dir / name, GOLDEN / name)
-    normalized = dict(manifest)
+    # the manifest as the last stage left it, with the cluster digests
+    normalized = dict(final_manifest)
     normalized.pop("created_at", None)
     (GOLDEN / "manifest_normalized.json").write_text(
         json.dumps(normalized, indent=2, sort_keys=True) + "\n", "utf-8"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,6 +34,10 @@ _CLIENT_KEYS = {"mode", "chat_model", "embed_model", "chat_endpoint", "embed_end
                 "rerank_endpoint", "embed_dim", "timeout", "stub_rules"}
 _RULE_KEYS = {"pattern", "head_type", "relation", "tail_type", "score"}
 _MULTIHOP_KEYS = {"root", "hops", "patterns"}
+
+# libyaml's C parser where PyYAML was built with it: the same safe schema as
+# yaml.safe_load, and several times faster
+_SafeLoader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 @dataclass(frozen=True)
@@ -96,12 +101,62 @@ def _require_keys(section: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
+def _shown(value: object) -> str:
+    if isinstance(value, float) and math.isinf(value):
+        return "infinity" if value > 0 else "-infinity"
+    return repr(value)
+
+
+def _int(section: dict, key: str, default: int, where: str, *, minimum: float = -math.inf) -> int:
+    """``section[key]``, or ``default`` when absent, as an integer of at least
+    ``minimum``. A bool, a float or any other type is an error naming the
+    dotted key ``where.key``."""
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}.{key} must be an integer, got {_shown(value)}")
+    if value < minimum:
+        raise ConfigError(f"{where}.{key} must be at least {minimum}, got {value}")
+    return value
+
+
+def _real(
+    section: dict,
+    key: str,
+    default: float,
+    where: str,
+    *,
+    low: float = -math.inf,
+    high: float = math.inf,
+    open_low: bool = False,
+) -> float:
+    """``section[key]``, or ``default`` when absent, as a finite float in
+    [low, high], or (low, high] when ``open_low``. An int is taken as its
+    float; a bool, a string or any other type is an error naming the dotted
+    key ``where.key``."""
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}.{key} must be a number, got {_shown(value)}")
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
+    if not (math.isfinite(value) and (value > low if open_low else value >= low) and value <= high):
+        if low == -math.inf:
+            wanted = "a finite number"
+        elif high == math.inf:
+            wanted = f"a finite number {'>' if open_low else '>='} {low:g}"
+        else:
+            wanted = f"a number in {'(' if open_low else '['}{low:g}, {high:g}]"
+        raise ConfigError(f"{where}.{key} must be {wanted}, got {_shown(value)}")
+    return value
+
+
 def load_config(path: str | Path) -> PipelineConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = yaml.safe_load(path.read_text("utf-8"))
+        raw = yaml.load(path.read_text("utf-8"), Loader=_SafeLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML ({exc})") from exc
     if not isinstance(raw, dict):
@@ -122,27 +177,29 @@ def load_config(path: str | Path) -> PipelineConfig:
     try:
         chunk_raw = raw.get("chunking") or {}
         _require_keys(chunk_raw, _CHUNK_KEYS, "chunking")
-        if "split_preference" in chunk_raw:
-            chunk_raw = dict(chunk_raw, split_preference=tuple(chunk_raw["split_preference"]))
-        chunking = ChunkingConfig(**chunk_raw)
+        chunking = ChunkingConfig(
+            max_chars=_int(chunk_raw, "max_chars", 1200, "chunking", minimum=1),
+            overlap_chars=_int(chunk_raw, "overlap_chars", 200, "chunking", minimum=0),
+            split_preference=tuple(chunk_raw.get("split_preference", ChunkingConfig.split_preference)),
+        )
 
         index_raw = raw.get("indexing") or {}
         _require_keys(index_raw, _INDEX_KEYS, "indexing")
         indexing = IndexingConfig(
             chunking=chunking,
             attribute_relations=dict(index_raw.get("attribute_relations") or {}),
-            max_failure_fraction=float(index_raw.get("max_failure_fraction", 0.2)),
-            max_workers=int(index_raw.get("max_workers", 4)),
+            max_failure_fraction=_real(index_raw, "max_failure_fraction", 0.2, "indexing", low=0.0, high=1.0),
+            max_workers=_int(index_raw, "max_workers", 4, "indexing", minimum=1),
         )
 
         cluster_raw = raw.get("clustering") or {}
         _require_keys(cluster_raw, _CLUSTER_KEYS, "clustering")
         params = ClusterParams(
-            alpha=float(cluster_raw.get("alpha", 0.5)),
-            tau=float(cluster_raw.get("tau", 0.3)),
-            max_passes=int(cluster_raw.get("max_passes", 10)),
-            min_community_size=int(cluster_raw.get("min_community_size", 2)),
-            seed=cluster_raw.get("seed"),
+            alpha=_real(cluster_raw, "alpha", 0.5, "clustering", low=0.0),
+            tau=_real(cluster_raw, "tau", 0.3, "clustering", low=0.0, high=1.0),
+            max_passes=_int(cluster_raw, "max_passes", 10, "clustering", minimum=1),
+            min_community_size=_int(cluster_raw, "min_community_size", 2, "clustering", minimum=1),
+            seed=None if cluster_raw.get("seed") is None else _int(cluster_raw, "seed", 0, "clustering"),
             attribute_scope=str(cluster_raw.get("attribute_scope", "2hop")),
         )
         multihop = []
@@ -155,7 +212,7 @@ def load_config(path: str | Path) -> PipelineConfig:
             multihop.append(
                 MultihopSpec(
                     root=str(spec["root"]),
-                    hops=int(spec.get("hops", 2)),
+                    hops=_int(spec, "hops", 2, f"clustering.multihop[{i}]", minimum=0),
                     patterns=tuple(tuple(str(r) for r in p) for p in spec.get("patterns") or []),
                 )
             )
@@ -168,11 +225,11 @@ def load_config(path: str | Path) -> PipelineConfig:
         fusion_raw = raw.get("fusion") or {}
         _require_keys(fusion_raw, _FUSION_KEYS, "fusion")
         fusion = FusionConfig(
-            w1=float(fusion_raw.get("w1", 4.0)),
-            w2=float(fusion_raw.get("w2", 1.0)),
-            khop=int(fusion_raw.get("khop", 2)),
-            topk_candidates=int(fusion_raw.get("topk_candidates", 24)),
-            final_k=int(fusion_raw.get("final_k", 8)),
+            w1=_real(fusion_raw, "w1", 4.0, "fusion", low=0.0, open_low=True),
+            w2=_real(fusion_raw, "w2", 1.0, "fusion", low=0.0, open_low=True),
+            khop=_int(fusion_raw, "khop", 2, "fusion", minimum=0),
+            topk_candidates=_int(fusion_raw, "topk_candidates", 24, "fusion", minimum=1),
+            final_k=_int(fusion_raw, "final_k", 8, "fusion", minimum=1),
         )
 
         client_raw = raw.get("clients") or {}
@@ -189,7 +246,7 @@ def load_config(path: str | Path) -> PipelineConfig:
                         head_type=str(rule["head_type"]),
                         relation=str(rule["relation"]),
                         tail_type=str(rule["tail_type"]),
-                        score=float(rule.get("score", 0.0)),
+                        score=_real(rule, "score", 0.0, f"clients.stub_rules[{i}]"),
                     )
                 )
             except KeyError as exc:
@@ -201,8 +258,8 @@ def load_config(path: str | Path) -> PipelineConfig:
             chat_endpoint=client_raw.get("chat_endpoint"),
             embed_endpoint=client_raw.get("embed_endpoint"),
             rerank_endpoint=client_raw.get("rerank_endpoint"),
-            embed_dim=int(client_raw.get("embed_dim", 256)),
-            timeout=float(client_raw.get("timeout", 30.0)),
+            embed_dim=_int(client_raw, "embed_dim", 256, "clients", minimum=1),
+            timeout=_real(client_raw, "timeout", 30.0, "clients", low=0.0, open_low=True),
             stub_rules=tuple(rules),
         )
 
@@ -210,7 +267,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         unknown = set(ablate) - set(ABLATABLE)
         if unknown:
             raise ConfigError(f"ablate: unknown toggles {sorted(unknown)} (known: {ABLATABLE})")
-    except (TypeError, ValueError, OverflowError) as exc:  # int() of an infinity overflows
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
     return PipelineConfig(

@@ -181,9 +181,6 @@ class VectorStore:
         """Ref stored at ``row``."""
         return self._refs[row]
 
-    def refs(self) -> list[str]:
-        return sorted(self._refs)
-
     def ref_rank(self) -> np.ndarray:
         """Per row, the position of its ref in ascending ref order."""
         return self._ref_rank

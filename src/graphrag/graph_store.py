@@ -68,7 +68,6 @@ class Chunk:
     document_id: str
     text: str
     char_offset: int
-    embedding: list[float] | None = None
 
 
 def make_chunk_id(document_id: str, char_offset: int) -> str:
@@ -374,7 +373,6 @@ def chunk_record(chunk: Chunk) -> dict:
         "document_id": chunk.document_id,
         "char_offset": chunk.char_offset,
         "text": chunk.text,
-        "embedding": chunk.embedding,
     }
 
 
@@ -465,7 +463,6 @@ def _read_graph(data: bytes, name: str) -> KnowledgeGraph:
                     document_id=str(record["document_id"]),
                     text=str(record["text"]),
                     char_offset=int(record["char_offset"]),
-                    embedding=list(record["embedding"]) if record.get("embedding") is not None else None,
                 )
                 if chunk.id in graph._chunks:
                     raise GraphFormatError(f"{name}:{lineno}: duplicate chunk id {chunk.id!r}")

@@ -57,9 +57,6 @@ class OntologySchema:
 
     # -- case-insensitive lookups ------------------------------------------
 
-    def is_entity_type(self, name: str) -> bool:
-        return name.casefold() in {t.casefold() for t in self.entity_types}
-
     def domain_of(self, relation: str) -> frozenset[str] | None:
         entry = self.constraints.get(relation.casefold())
         return entry[0] if entry else None

@@ -5,7 +5,7 @@ An index directory is self-contained:
     manifest.json       build record: config hash, counts, artifact digests
     graph.jsonl         nodes and edges
     chunks.jsonl        chunk texts with provenance offsets
-    embeddings.jsonl    one vector per chunk
+    embeddings.npy      one float64 row per chunk, in chunk id order
     communities.jsonl   community memberships (written by cluster)
     reports.jsonl       community reports with embeddings (written by cluster)
     eval_report.json    benchmark metrics (written by eval, plus a .txt table)
@@ -13,22 +13,31 @@ An index directory is self-contained:
 Every ``.jsonl`` artifact is written and read by the one codec in
 ``records``: one compact JSON object per line behind a ``meta`` record that
 carries ``records.FORMAT_VERSION``, the single format version, which the
-manifest also carries. The corpus and benchmark input files go through the
-same module's input reader. Every artifact is byte-deterministic for a fixed
-config and corpus; the only run-dependent field is the manifest's
-``created_at`` timestamp. A failed build raises before anything is written.
+manifest also carries. ``embeddings.npy`` is a little-endian float64 matrix
+in numpy's ``.npy`` format, written without pickling; its rows follow
+``KnowledgeGraph.chunk_ids()``, so it needs no ids of its own. The corpus and
+benchmark input files go through ``records``' input reader. Every artifact is
+byte-deterministic for a fixed config and corpus; the only run-dependent
+field is the manifest's ``created_at`` timestamp. A failed build raises
+before anything is written.
+
+The manifest binds the artifacts together by sha256. ``build_index`` records
+the digests of the graph, chunk and embedding files; ``run_clustering`` then
+rewrites the manifest with the digests of the communities and reports and of
+the graph they were clustered from. Loading checks every digest the manifest
+holds.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
 import logging
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +81,7 @@ from .retrieval import IndexBundle, RetrievalResponse, retrieve
 log = logging.getLogger(__name__)
 
 MANIFEST_NAME = "manifest.json"
-EMBEDDINGS_NAME = "embeddings.jsonl"
+EMBEDDINGS_NAME = "embeddings.npy"
 COMMUNITIES_NAME = "communities.jsonl"
 REPORTS_NAME = "reports.jsonl"
 
@@ -178,14 +187,13 @@ def _write_atomic(path: Path, data: bytes) -> None:
 
 
 def _embeddings_bytes(graph: KnowledgeGraph, embed: EmbeddingClient, dim: int) -> bytes:
-    chunk_ids = graph.chunk_ids()
-    texts = [graph.chunk(cid).text for cid in chunk_ids]
-    vectors = embed.embed(texts) if texts else []
-    meta = {"kind": "meta", "format_version": FORMAT_VERSION, "dimension": dim, "count": len(chunk_ids)}
-    return dump_jsonl(chain([meta], (
-        {"kind": "embedding", "ref": cid, "vector": [float(x) for x in vec]}
-        for cid, vec in zip(chunk_ids, vectors)
-    )))
+    """The chunk vectors as one little-endian float64 ``.npy`` matrix whose
+    row i embeds ``graph.chunk_ids()[i]``."""
+    texts = [graph.chunk(cid).text for cid in graph.chunk_ids()]
+    matrix = np.array(embed.embed(texts) if texts else [], dtype="<f8").reshape(len(texts), dim)
+    buffer = io.BytesIO()
+    np.save(buffer, matrix, allow_pickle=False)
+    return buffer.getvalue()
 
 
 def build_index(
@@ -275,8 +283,13 @@ def read_manifest(index_dir: Path) -> dict:
         manifest = json.loads(path.read_text("utf-8"))
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"{path}: corrupt manifest ({exc.msg})") from exc
-    if not isinstance(manifest, dict) or manifest.get("format_version") != FORMAT_VERSION:
+    if not isinstance(manifest, dict):
         raise GraphFormatError(f"{path}: unsupported manifest format")
+    if manifest.get("format_version") != FORMAT_VERSION:
+        raise GraphFormatError(
+            f"{path}: index format {manifest.get('format_version')!r}, but this version reads "
+            f"format {FORMAT_VERSION}; rebuild with --force"
+        )
     return manifest
 
 
@@ -287,7 +300,7 @@ def _verified_bytes(index_dir: Path, name: str, manifest: dict) -> bytes:
     data = path.read_bytes()
     expected = manifest.get("artifacts", {}).get(name)
     if expected and _sha256(data) != expected:
-        raise GraphFormatError(f"{path}: content does not match the manifest digest")
+        raise GraphFormatError(f"{path}: content does not match the manifest digest; rebuild with --force")
     return data
 
 
@@ -298,34 +311,44 @@ def load_index_graph(index_dir: Path) -> tuple[KnowledgeGraph, dict]:
     return graph, manifest
 
 
-def _load_embeddings(index_dir: Path, manifest: dict) -> VectorStore:
-    """Read embeddings.jsonl into a chunk store, each vector written straight
-    into its row of one matrix preallocated from the meta count."""
-    meta, records = read_artifact(_verified_bytes(index_dir, EMBEDDINGS_NAME, manifest), EMBEDDINGS_NAME)
+def _load_embeddings(index_dir: Path, manifest: dict, chunk_ids: list[str]) -> VectorStore:
+    """Read embeddings.npy into a chunk store whose row i is ``chunk_ids[i]``.
+
+    The header is checked before any data is touched: a version 1.0 file
+    holding a C-ordered little-endian float64 matrix with one row per chunk,
+    followed by exactly the bytes that shape needs. So a corrupt shape can
+    never size an allocation and nothing is ever unpickled. The rows are a
+    read-only view of the file's bytes, and every value must be finite."""
+    data = _verified_bytes(index_dir, EMBEDDINGS_NAME, manifest)
+    buffer = io.BytesIO(data)
     try:
-        matrix = np.empty((int(meta["count"]), int(meta["dimension"])), dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GraphFormatError(f"{EMBEDDINGS_NAME}:1: malformed meta record ({exc})") from exc
-    refs: list[str] = []
-    for lineno, record in enumerate(records, start=2):
-        if record.get("kind") != "embedding":
-            raise GraphFormatError(f"{EMBEDDINGS_NAME}:{lineno}: unknown record kind {record.get('kind')!r}")
-        if len(refs) == len(matrix):
-            raise GraphFormatError(f"{EMBEDDINGS_NAME}:{lineno}: more embeddings than the meta count")
-        try:
-            vector = record["vector"]
-            if len(vector) != matrix.shape[1]:
-                raise GraphFormatError(f"{EMBEDDINGS_NAME}:{lineno}: vector has {len(vector)} dimensions")
-            matrix[len(refs)] = vector
-            refs.append(str(record["ref"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GraphFormatError(f"{EMBEDDINGS_NAME}:{lineno}: malformed embedding record ({exc})") from exc
-    if len(refs) != len(matrix):
-        raise GraphFormatError(f"{EMBEDDINGS_NAME}: {len(refs)} embeddings, meta count {len(matrix)}")
-    try:
-        return VectorStore.from_matrix(refs, matrix)
+        version = np.lib.format.read_magic(buffer)
+        if version != (1, 0):
+            raise ValueError(f"format version {version}, expected (1, 0)")
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(buffer)
     except ValueError as exc:
-        raise GraphFormatError(f"{EMBEDDINGS_NAME}: {exc}") from exc
+        raise GraphFormatError(f"{EMBEDDINGS_NAME}: malformed .npy header ({exc})") from exc
+    if dtype != np.dtype("<f8") or fortran_order or len(shape) != 2:
+        raise GraphFormatError(
+            f"{EMBEDDINGS_NAME}: holds a {dtype.str} array of shape {shape}"
+            f"{' in Fortran order' if fortran_order else ''}, not a C-ordered <f8 matrix"
+        )
+    if shape[0] != len(chunk_ids):
+        raise GraphFormatError(
+            f"{EMBEDDINGS_NAME}: {shape[0]} rows for the {len(chunk_ids)} chunks of {CHUNKS_NAME}; "
+            "rebuild with --force"
+        )
+    offset, size = buffer.tell(), shape[0] * shape[1] * dtype.itemsize
+    if len(data) - offset != size:
+        raise GraphFormatError(
+            f"{EMBEDDINGS_NAME}: {len(data) - offset} data bytes where shape {shape} needs {size}"
+        )
+    matrix = np.frombuffer(data, dtype=dtype, count=shape[0] * shape[1], offset=offset).reshape(shape)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise GraphFormatError(f"{EMBEDDINGS_NAME}: row {row} ({chunk_ids[row]}) holds a non-finite value")
+    return VectorStore.from_matrix(chunk_ids, matrix)
 
 
 # -- cluster stage --------------------------------------------------------------------
@@ -364,11 +387,13 @@ def run_clustering(
     force: bool = False,
     index_dir: Path | None = None,
 ) -> dict:
-    """Cluster an existing index and write communities + reports."""
+    """Cluster an existing index and write communities + reports, then bind
+    them to the index by rewriting its manifest with their digests and the
+    digest of the graph they were clustered from."""
     out = Path(index_dir) if index_dir is not None else cfg.index_dir
     if (out / COMMUNITIES_NAME).exists() and not force:
         raise ConfigError(f"communities already exist at {out}; pass --force to recluster")
-    graph, _ = load_index_graph(out)
+    graph, manifest = load_index_graph(out)
     clients = make_clients(cfg.clients)
     communities = build_communities(cfg, graph)
 
@@ -417,8 +442,18 @@ def run_clustering(
             "source_chunks": list(r.source_chunks),
         })
 
-    _write_atomic(out / COMMUNITIES_NAME, dump_jsonl(community_records))
-    _write_atomic(out / REPORTS_NAME, dump_jsonl(report_records))
+    community_bytes = dump_jsonl(community_records)
+    report_bytes = dump_jsonl(report_records)
+    artifacts = manifest.get("artifacts", {})
+    manifest = dict(
+        manifest,
+        artifacts={**artifacts, COMMUNITIES_NAME: _sha256(community_bytes), REPORTS_NAME: _sha256(report_bytes)},
+        clustered_from=artifacts.get(GRAPH_NAME),
+    )
+    _write_atomic(out / COMMUNITIES_NAME, community_bytes)
+    _write_atomic(out / REPORTS_NAME, report_bytes)
+    # the manifest goes last: until it lands, the old one rejects the new files
+    _write_atomic(out / MANIFEST_NAME, _dump_json(manifest))
 
     by_dimension: dict[str, int] = {}
     for c in communities:
@@ -429,16 +464,23 @@ def run_clustering(
     return summary
 
 
-def load_communities(index_dir: Path) -> tuple[list[Community], dict[int, CommunityReport]]:
-    """Read communities.jsonl and reports.jsonl back into their dataclasses."""
+def load_communities(index_dir: Path, manifest: dict) -> tuple[list[Community], dict[int, CommunityReport]]:
+    """Read communities.jsonl and reports.jsonl back into their dataclasses.
+    Each file must match its digest in ``manifest``, and the manifest must
+    record that they were clustered from its graph.jsonl."""
     out = Path(index_dir)
     for name in (COMMUNITIES_NAME, REPORTS_NAME):
         if not (out / name).is_file():
             raise ConfigError(f"no communities at {out}; run `graphrag cluster` first")
+    if manifest.get("clustered_from") != manifest.get("artifacts", {}).get(GRAPH_NAME):
+        raise GraphFormatError(
+            f"index at {out}: {COMMUNITIES_NAME} and {REPORTS_NAME} were not clustered from its "
+            f"{GRAPH_NAME}; rebuild with --force"
+        )
 
     communities = []
     known: set[int] = set()
-    _, records = read_artifact((out / COMMUNITIES_NAME).read_bytes(), COMMUNITIES_NAME)
+    _, records = read_artifact(_verified_bytes(out, COMMUNITIES_NAME, manifest), COMMUNITIES_NAME)
     for lineno, record in enumerate(records, start=2):
         if record.get("kind") != "community":
             raise GraphFormatError(f"{COMMUNITIES_NAME}:{lineno}: unexpected record kind {record.get('kind')!r}")
@@ -460,7 +502,7 @@ def load_communities(index_dir: Path) -> tuple[list[Community], dict[int, Commun
         known.add(community.id)
         communities.append(community)
     reports: dict[int, CommunityReport] = {}
-    meta, records = read_artifact((out / REPORTS_NAME).read_bytes(), REPORTS_NAME)
+    meta, records = read_artifact(_verified_bytes(out, REPORTS_NAME, manifest), REPORTS_NAME)
     for lineno, record in enumerate(records, start=2):
         if record.get("kind") != "report":
             raise GraphFormatError(f"{REPORTS_NAME}:{lineno}: unexpected record kind {record.get('kind')!r}")
@@ -493,17 +535,15 @@ def load_communities(index_dir: Path) -> tuple[list[Community], dict[int, Commun
 # -- query stages ---------------------------------------------------------------------
 
 
-def _check_chunk_refs(out: Path, graph: KnowledgeGraph, chunk_store: VectorStore) -> None:
-    """The chunk store must hold exactly the graph's chunks, and every node's
-    provenance must name one of them, so chunk-store rows index every chunk
-    the retrieval channels can reach."""
+def _check_provenance(out: Path, graph: KnowledgeGraph) -> None:
+    """Every node's provenance must name a chunk of chunks.jsonl, so the
+    chunk-store rows index every chunk the retrieval channels can reach."""
     chunk_ids = set(graph.chunk_ids())
-    differing = chunk_ids.symmetric_difference(chunk_store.refs())
-    differing |= set().union(*(node.source_chunks for node in graph.nodes())) - chunk_ids
-    if differing:
+    unknown = set().union(*(node.source_chunks for node in graph.nodes())) - chunk_ids
+    if unknown:
         raise GraphFormatError(
-            f"index at {out}: {CHUNKS_NAME}, {EMBEDDINGS_NAME} and {GRAPH_NAME} disagree on "
-            f"{len(differing)} chunk id(s), e.g. {sorted(differing)[:3]}; rebuild with --force"
+            f"index at {out}: {GRAPH_NAME} cites {len(unknown)} chunk id(s) missing from "
+            f"{CHUNKS_NAME}, e.g. {sorted(unknown)[:3]}; rebuild with --force"
         )
 
 
@@ -522,15 +562,15 @@ def _check_community_members(graph: KnowledgeGraph, communities: list[Community]
 def load_bundle(cfg: PipelineConfig, index_dir: Path | None = None) -> IndexBundle:
     out = Path(index_dir) if index_dir is not None else cfg.index_dir
     graph, manifest = load_index_graph(out)
-    chunk_store = _load_embeddings(out, manifest)
-    communities, reports = load_communities(out)
+    _check_provenance(out, graph)
+    chunk_store = _load_embeddings(out, manifest, graph.chunk_ids())
+    communities, reports = load_communities(out, manifest)
     dims = {chunk_store.dim, *(len(report.embedding) for report in reports.values())}
     if dims != {cfg.clients.embed_dim}:
         raise ConfigError(
             f"index at {out} holds {'- and '.join(map(str, sorted(dims)))}-dimensional embeddings but "
             f"clients.embed_dim is {cfg.clients.embed_dim}; rebuild the index or fix the config"
         )
-    _check_chunk_refs(out, graph, chunk_store)
     _check_community_members(graph, communities)
     return IndexBundle.assemble(graph, communities, reports, chunk_store)
 

@@ -1,9 +1,10 @@
-"""The JSON-lines record format shared by every artifact and input file.
+"""The JSON-lines record format shared by the text artifacts and input files.
 
-An index artifact is UTF-8 text holding one compact JSON object per line,
-keys sorted, with no blank lines. Its first record is a ``meta`` record whose
-``format_version`` is ``FORMAT_VERSION``. Because no line is blank, the n-th
-record after the meta sits on line n + 1.
+A JSON-lines index artifact is UTF-8 text holding one compact JSON object
+per line, keys sorted, with no blank lines. Its first record is a ``meta``
+record whose ``format_version`` is ``FORMAT_VERSION``, the version of the
+whole index format, which the manifest also carries. Because no line is
+blank, the n-th record after the meta sits on line n + 1.
 
 Input files (a corpus or a benchmark) are either one JSON array or JSON
 lines, where blank lines are skipped and a single line is a valid file.
@@ -17,7 +18,7 @@ from typing import Iterable, Iterator
 
 from .errors import GraphFormatError
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
 

@@ -3,9 +3,13 @@ random graph builders used by the oracle comparison suites."""
 
 from __future__ import annotations
 
+import io
+import json
+import pickle
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -52,6 +56,57 @@ def set_config_value(raw: dict, section: str, key: str, value) -> None:
         raw["clients"]["stub_rules"][0][key] = value
     else:
         raw[section][key] = value
+
+
+def npy_bytes(matrix: np.ndarray) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, matrix, allow_pickle=matrix.dtype.hasobject)
+    return buffer.getvalue()
+
+
+def _with_value(matrix: np.ndarray, value: float) -> np.ndarray:
+    matrix = matrix.copy()
+    matrix[1, 2] = value
+    return matrix
+
+
+# Ways to break an embeddings.npy file, each a function of the file's bytes
+# and the matrix it holds.
+EMBEDDING_CORRUPTIONS = {
+    "truncated": lambda data, m: data[:-8],
+    "trailing-bytes": lambda data, m: data + bytes(8),
+    "bad-magic": lambda data, m: b"\x00" + data[1:],
+    "npy-version": lambda data, m: data[:6] + b"\x03" + data[7:],
+    "bad-header": lambda data, m: data.replace(b"'fortran_order': False, ", b" " * 24),
+    "pickle": lambda data, m: pickle.dumps(m),
+    "object-dtype": lambda data, m: npy_bytes(m.astype(object)),
+    "float32": lambda data, m: npy_bytes(m.astype("<f4")),
+    "big-endian": lambda data, m: npy_bytes(m.astype(">f8")),
+    "fortran-order": lambda data, m: npy_bytes(np.asfortranarray(m)),
+    "extra-row": lambda data, m: npy_bytes(np.vstack([m, m[:1]])),
+    "missing-row": lambda data, m: npy_bytes(m[:-1]),
+    "wrong-dimension": lambda data, m: npy_bytes(m[:, :3]),
+    "nan": lambda data, m: npy_bytes(_with_value(m, np.nan)),
+    "inf": lambda data, m: npy_bytes(_with_value(m, -np.inf)),
+}
+
+
+def drop_digests(index_dir: Path, *names: str) -> None:
+    """Remove the manifest digests of ``names``, so an edit to those files
+    meets the loader's own checks rather than the digest check."""
+    manifest = json.loads((index_dir / "manifest.json").read_text("utf-8"))
+    for name in names:
+        del manifest["artifacts"][name]
+    (index_dir / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+
+
+def corrupt_embeddings(index_dir: Path, case: str) -> None:
+    """Break ``index_dir``'s embeddings.npy as ``case`` names and drop its
+    manifest digest."""
+    path = index_dir / "embeddings.npy"
+    data = path.read_bytes()
+    path.write_bytes(EMBEDDING_CORRUPTIONS[case](data, np.load(path)))
+    drop_digests(index_dir, "embeddings.npy")
 
 
 def random_graph(

@@ -56,8 +56,8 @@ def structurally_equal(a, b) -> bool:
     nodes_b = [(n.id, n.name, n.entity_type, n.attributes, n.source_chunks, n.aliases) for n in b.nodes()]
     edges_a = [(e.key, e.weight, e.source_chunks) for e in a.edges()]
     edges_b = [(e.key, e.weight, e.source_chunks) for e in b.edges()]
-    chunks_a = [(c.id, c.document_id, c.text, c.char_offset, c.embedding) for c in a.chunks()]
-    chunks_b = [(c.id, c.document_id, c.text, c.char_offset, c.embedding) for c in b.chunks()]
+    chunks_a = [(c.id, c.document_id, c.text, c.char_offset) for c in a.chunks()]
+    chunks_b = [(c.id, c.document_id, c.text, c.char_offset) for c in b.chunks()]
     return (nodes_a, edges_a, chunks_a) == (nodes_b, edges_b, chunks_b)
 
 

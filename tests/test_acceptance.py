@@ -311,7 +311,7 @@ def test_criterion_8_end_to_end_determinism(tmp_path):
             payloads[run] = json.loads(result.stdout)
 
         artifacts = [
-            "graph.jsonl", "chunks.jsonl", "embeddings.jsonl",
+            "graph.jsonl", "chunks.jsonl", "embeddings.npy",
             "communities.jsonl", "reports.jsonl",
             "eval_report.json", "eval_report.txt",
         ]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import math
@@ -9,11 +10,12 @@ import os
 import shutil
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import FIXTURES, set_config_value
+from conftest import FIXTURES, corrupt_embeddings, drop_digests, set_config_value
 from graphrag.cli import main
 
 MUSEUM = FIXTURES / "museum"
@@ -251,12 +253,59 @@ class TestRetrieveCommand:
         del record["members"]
         path.write_text("\n".join([lines[0], json.dumps(record), *lines[2:]]) + "\n", "utf-8")
         capsys.readouterr()
+        # the manifest binds communities.jsonl by digest, so the edit is caught there first
+        assert run(["retrieve", "--config", cfg, "--query", "warring states artifacts"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: content does not match the manifest digest; rebuild with --force\n"
+        drop_digests(workspace / "index", "communities.jsonl")
         assert run(["retrieve", "--config", cfg, "--query", "warring states artifacts"]) == 1
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: communities.jsonl:2: ")
         assert "members" in lines[0]
         assert "Traceback" not in captured.err + captured.out
+
+    @pytest.mark.parametrize(
+        "case", ["truncated", "bad-header", "object-dtype", "pickle", "extra-row", "wrong-dimension", "nan"]
+    )
+    def test_malformed_embeddings_is_a_clean_error(self, museum_index, tmp_path, capsys, case):
+        index = tmp_path / "index"
+        shutil.copytree(museum_index, index)
+        corrupt_embeddings(index, case)
+        args = ["retrieve", "--config", MUSEUM / "config.yaml", "--index", index, "--query", "warring states"]
+        assert run(args) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        assert ("3- and 64-dimensional" if case == "wrong-dimension" else "embeddings.npy") in lines[0]
+        assert "Traceback" not in captured.err + captured.out
+
+    def test_format_1_index_is_a_clean_error(self, museum_index, tmp_path, capsys):
+        """An index in the first format, whose chunk vectors were JSON lines
+        in embeddings.jsonl, is refused with a hint to rebuild it."""
+        index = tmp_path / "index"
+        shutil.copytree(museum_index, index)
+        chunk_ids = [json.loads(line)["id"] for line in (index / "chunks.jsonl").read_text("utf-8").splitlines()[1:]]
+        matrix = np.load(index / "embeddings.npy")
+        records = [{"kind": "meta", "format_version": 1, "dimension": 64, "count": len(chunk_ids)}]
+        records += [{"kind": "embedding", "ref": cid, "vector": row.tolist()} for cid, row in zip(chunk_ids, matrix)]
+        data = "".join(json.dumps(r) + "\n" for r in records).encode("utf-8")
+        (index / "embeddings.jsonl").write_bytes(data)
+        (index / "embeddings.npy").unlink()
+        manifest = json.loads((index / "manifest.json").read_text("utf-8"))
+        del manifest["clustered_from"]
+        artifacts = manifest["artifacts"]
+        artifacts["embeddings.jsonl"] = hashlib.sha256(data).hexdigest()
+        for name in ("embeddings.npy", "communities.jsonl", "reports.jsonl"):
+            del artifacts[name]
+        manifest["format_version"] = 1
+        (index / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+        args = ["retrieve", "--config", MUSEUM / "config.yaml", "--index", index, "--query", "warring states"]
+        assert run(args) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "index format 1" in lines[0] and lines[0].endswith("rebuild with --force")
 
 
 class TestEvalCommand:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import re
 import shutil
 from pathlib import Path
@@ -9,12 +10,14 @@ from pathlib import Path
 import pytest
 import yaml
 
+import graphrag.config
 from conftest import FIXTURES, set_config_value
 from graphrag.config import load_config
 from graphrag.errors import ConfigError
 
 MUSEUM = FIXTURES / "museum"
-README = Path(__file__).resolve().parent.parent / "README.md"
+REPO = Path(__file__).resolve().parent.parent
+README = REPO / "README.md"
 
 
 def rewrite(tmp_path, mutate):
@@ -104,6 +107,10 @@ def test_tau_out_of_range(tmp_path):
     ("fusion", "w1", float("nan"), "w1"),
     ("fusion", "w2", float("inf"), "w2"),
     ("fusion", "khop", float("-inf"), "infinity"),
+    ("fusion", "khop", 0.5, "fusion.khop"),
+    ("clustering", "max_passes", 2.7, "clustering.max_passes"),
+    ("fusion", "w1", True, "fusion.w1"),
+    ("clustering", "min_community_size", -1, "clustering.min_community_size"),
     ("multihop", "hops", -1, "hops"),
     ("stub_rules", "pattern", "(unclosed", "pattern"),
     ("stub_rules", "pattern", "no groups", "group"),
@@ -112,6 +119,27 @@ def test_bad_value_rejected_at_load(tmp_path, section, key, value, message):
     path = rewrite(tmp_path, lambda raw: set_config_value(raw, section, key, value))
     with pytest.raises(ConfigError, match=message):
         load_config(path)
+
+
+def _bench_config(tmp_path) -> Path:
+    """A config written by the benchmark's input generator."""
+    spec = importlib.util.spec_from_file_location("bench_generate", REPO / "perfbench" / "generate.py")
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    generate.generate(tmp_path, 1, docs=4, chunks_per_doc=2, queries=4)
+    return tmp_path / "config.yaml"
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML is built without libyaml")
+@pytest.mark.parametrize("which", ["museum", "bench"])
+def test_libyaml_and_python_parsers_agree(tmp_path, monkeypatch, which):
+    path = MUSEUM / "config.yaml" if which == "museum" else _bench_config(tmp_path)
+    assert graphrag.config._SafeLoader is yaml.CSafeLoader
+    fast = load_config(path)
+    monkeypatch.setattr(graphrag.config, "_SafeLoader", yaml.SafeLoader)
+    slow = load_config(path)
+    assert fast == slow
+    assert fast.raw == yaml.safe_load(path.read_text("utf-8"))
 
 
 def test_multihop_requires_root(tmp_path):

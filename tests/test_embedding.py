@@ -104,7 +104,7 @@ def ranked(store, query, k):
 class TestVectorStore:
     def test_round_trip_and_refs_sorted(self):
         store = VectorStore.from_matrix(["b", "a"], np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert store.refs() == ["a", "b"]
+        assert store.ref_rank().tolist() == [1, 0]
         assert store.ref(store.position("b")) == "b"
         assert store.position("missing") is None
         assert len(store) == 2 and store.dim == 2

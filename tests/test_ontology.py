@@ -102,8 +102,8 @@ class TestLoadSchema:
 
 class TestLookups:
     def test_case_insensitive_entity_type(self, schema):
-        assert schema.is_entity_type("artifact")
-        assert not schema.is_entity_type("Ship")
+        assert validate_triple(triple(ht="artifact", tt="PERIOD"), schema)
+        assert not validate_triple(triple(ht="Ship"), schema)
 
     def test_domain_and_range_folded(self, schema):
         assert schema.domain_of("datedto") == frozenset({"artifact"})

@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import re
 import shutil
 
+import numpy as np
 import pytest
 
+from conftest import EMBEDDING_CORRUPTIONS, corrupt_embeddings, drop_digests
 from graphrag.config import load_config
+from graphrag.embedding import HashingEmbedder
 from graphrag.errors import BenchmarkError, ConfigError, GraphFormatError, IndexingError
 from graphrag.pipeline import (
     build_communities,
@@ -101,12 +105,13 @@ class TestBuildIndex:
     def test_artifacts_and_manifest(self, museum_cfg, tmp_path):
         out = tmp_path / "idx"
         build_index(museum_cfg, index_dir=out)
-        for name in ("graph.jsonl", "chunks.jsonl", "embeddings.jsonl", "manifest.json"):
+        for name in ("graph.jsonl", "chunks.jsonl", "embeddings.npy", "manifest.json"):
             assert (out / name).exists(), name
         manifest = read_manifest(out)
         assert manifest["counts"] == {"documents": 5, "chunks": 5, "nodes": 10, "edges": 15}
         assert manifest["config_hash"] == museum_cfg.hash()
-        assert set(manifest["artifacts"]) == {"graph.jsonl", "chunks.jsonl", "embeddings.jsonl"}
+        assert set(manifest["artifacts"]) == {"graph.jsonl", "chunks.jsonl", "embeddings.npy"}
+        assert "clustered_from" not in manifest
 
     def test_refuses_overwrite_without_force(self, museum_cfg, tmp_path):
         out = tmp_path / "idx"
@@ -120,10 +125,14 @@ class TestBuildIndex:
         build_index(museum_cfg, index_dir=out)
         run_clustering(museum_cfg, index_dir=out)
         (out / "eval_report.json").write_text("{}")
+        assert "communities.jsonl" in read_manifest(out)["artifacts"]
         build_index(museum_cfg, force=True, index_dir=out)
         assert not (out / "communities.jsonl").exists()
         assert not (out / "reports.jsonl").exists()
         assert not (out / "eval_report.json").exists()
+        manifest = read_manifest(out)
+        assert set(manifest["artifacts"]) == {"graph.jsonl", "chunks.jsonl", "embeddings.npy"}
+        assert "clustered_from" not in manifest
 
     def test_failed_build_writes_nothing(self, museum_fixture, tmp_path):
         cfg = load_config(museum_fixture / "config.yaml")
@@ -182,8 +191,7 @@ def _repeat_record(lines):
 
 def _short_vector(lines):
     record = json.loads(lines[1])
-    key = "vector" if "vector" in record else "embedding"
-    record[key] = record[key][:3]
+    record["embedding"] = record["embedding"][:3]
     return [lines[0], json.dumps(record), *lines[2:]]
 
 
@@ -200,31 +208,29 @@ def _unknown_member(lines):
     return [lines[0], json.dumps(record), *lines[2:]]
 
 
-ARTIFACTS = ["graph.jsonl", "chunks.jsonl", "embeddings.jsonl", "communities.jsonl", "reports.jsonl"]
+ARTIFACTS = ["graph.jsonl", "chunks.jsonl", "communities.jsonl", "reports.jsonl"]
 
 
 class TestArtifactFormat:
     """Every .jsonl artifact goes through one parser: with its manifest
     digest dropped, a missing or wrong-version meta record, a blank line, a
     truncated last line, a record missing a field, a repeated record, a
-    vector of the wrong length, a chunk record in graph.jsonl or a community
-    member that is not a graph node is a GraphFormatError naming the file
-    (and, for a bad record, its line)."""
+    report vector of the wrong length, a chunk record in graph.jsonl or a
+    community member that is not a graph node is a GraphFormatError naming
+    the file (and, for a bad record, its line)."""
 
     @pytest.mark.parametrize(
         "name,corrupt",
         [(name, corrupt)
          for corrupt in (_drop_meta, _bump_version, _blank_line, _truncate, _drop_field, _repeat_record)
          for name in ARTIFACTS]
-        + [("embeddings.jsonl", _short_vector), ("reports.jsonl", _short_vector),
+        + [("reports.jsonl", _short_vector),
            ("graph.jsonl", _chunk_record), ("communities.jsonl", _unknown_member)],
     )
     def test_corrupt_artifact_names_the_file(self, museum_cfg, museum_index, tmp_path, name, corrupt):
         out = tmp_path / "idx"
         shutil.copytree(museum_index, out)
-        manifest = json.loads((out / "manifest.json").read_text("utf-8"))
-        manifest["artifacts"].pop(name, None)
-        (out / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+        drop_digests(out, name)
         lines = (out / name).read_text("utf-8").splitlines()
         (out / name).write_text("\n".join(corrupt(lines)) + "\n", "utf-8")
         with pytest.raises(GraphFormatError, match=re.escape(name)) as info:
@@ -240,6 +246,7 @@ class TestArtifactFormat:
     def test_index_without_communities_loads(self, museum_cfg, museum_index, tmp_path):
         out = tmp_path / "idx"
         shutil.copytree(museum_index, out)
+        drop_digests(out, "communities.jsonl", "reports.jsonl")
         for name in ("communities.jsonl", "reports.jsonl"):
             meta = json.loads((out / name).read_text("utf-8").splitlines()[0])
             (out / name).write_text(json.dumps({**meta, "count": 0}) + "\n", "utf-8")
@@ -250,13 +257,48 @@ class TestArtifactFormat:
         assert all(r.s_comm == 0.0 and r.provenance["communities"] == [] for r in response.results)
 
 
+class TestEmbeddingsMatrix:
+    """embeddings.npy is one little-endian float64 matrix, a row per chunk in
+    chunk id order. With its manifest digest dropped, each way of breaking
+    it is a GraphFormatError naming the file; a matrix of another width is
+    indistinguishable from a changed clients.embed_dim, so it is the
+    ConfigError that names both dimensions."""
+
+    @pytest.mark.parametrize("case", sorted(EMBEDDING_CORRUPTIONS))
+    def test_corrupt_matrix_is_rejected(self, museum_cfg, museum_index, tmp_path, case):
+        out = tmp_path / "idx"
+        shutil.copytree(museum_index, out)
+        corrupt_embeddings(out, case)
+        if case == "wrong-dimension":
+            with pytest.raises(ConfigError, match="3- and 64-dimensional"):
+                load_bundle(museum_cfg, out)
+            return
+        with pytest.raises(GraphFormatError, match=re.escape("embeddings.npy")) as info:
+            load_bundle(museum_cfg, out)
+        assert "digest" not in str(info.value)
+        if case in ("extra-row", "missing-row"):
+            assert "rows for the 5 chunks" in str(info.value)
+        if case in ("nan", "inf"):
+            assert "row 1 " in str(info.value)
+
+    def test_matrix_is_the_embedder_output(self, museum_cfg, museum_index):
+        bundle = load_bundle(museum_cfg, museum_index)
+        chunk_ids = bundle.graph.chunk_ids()
+        store = bundle.chunk_store
+        assert [store.ref(row) for row in range(len(store))] == chunk_ids
+        want = HashingEmbedder(museum_cfg.clients.embed_dim).embed(
+            [bundle.graph.chunk(cid).text for cid in chunk_ids]
+        )
+        assert np.array_equal(store._matrix, np.array(want))
+
+
 class TestClustering:
     def test_artifacts_written(self, museum_cfg, museum_index):
         assert (museum_index / "communities.jsonl").exists()
         assert (museum_index / "reports.jsonl").exists()
 
     def test_communities_cover_expected_dimensions(self, museum_cfg, museum_index):
-        communities, reports = load_communities(museum_index)
+        communities, reports = load_communities(museum_index, read_manifest(museum_index))
         dims = {c.dimension.split(":", 1)[0] for c in communities}
         assert dims == {"topology", "attribute", "multihop"}
         assert sorted(reports) == [c.id for c in communities]
@@ -274,17 +316,46 @@ class TestClustering:
         out = tmp_path / "idx"
         build_index(museum_cfg, index_dir=out)
         with pytest.raises(ConfigError, match="graphrag cluster"):
-            load_communities(out)
+            load_communities(out, read_manifest(out))
 
     def test_report_coverage_enforced(self, museum_cfg, museum_index, tmp_path):
         out = tmp_path / "idx"
-        out.mkdir()
-        for name in ("communities.jsonl", "reports.jsonl"):
-            (out / name).write_text((museum_index / name).read_text())
+        shutil.copytree(museum_index, out)
+        manifest = read_manifest(out)
+        del manifest["artifacts"]["reports.jsonl"]
         lines = (out / "reports.jsonl").read_text().strip().splitlines()
         (out / "reports.jsonl").write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(GraphFormatError, match="report"):
-            load_communities(out)
+            load_communities(out, manifest)
+
+    def test_cluster_binds_its_artifacts(self, museum_index):
+        manifest = read_manifest(museum_index)
+        for name in ("communities.jsonl", "reports.jsonl"):
+            digest = hashlib.sha256((museum_index / name).read_bytes()).hexdigest()
+            assert manifest["artifacts"][name] == digest, name
+        assert manifest["clustered_from"] == manifest["artifacts"]["graph.jsonl"]
+
+    @pytest.mark.parametrize("name", ["communities.jsonl", "reports.jsonl"])
+    def test_edited_cluster_artifact_rejected(self, museum_cfg, museum_index, tmp_path, name):
+        out = tmp_path / "idx"
+        shutil.copytree(museum_index, out)
+        lines = (out / name).read_text("utf-8").splitlines()
+        (out / name).write_text("\n".join(lines[:-1]) + "\n", "utf-8")
+        with pytest.raises(GraphFormatError, match="digest; rebuild with --force"):
+            load_bundle(museum_cfg, out)
+
+    def test_stale_communities_rejected(self, museum_cfg, museum_index, tmp_path):
+        """Communities copied back after the index was rebuilt are not bound
+        to the new manifest, even when the graph came out the same."""
+        out = tmp_path / "idx"
+        shutil.copytree(museum_index, out)
+        build_index(museum_cfg, force=True, index_dir=out)
+        for name in ("communities.jsonl", "reports.jsonl"):
+            shutil.copyfile(museum_index / name, out / name)
+        with pytest.raises(GraphFormatError, match="not clustered from .*rebuild with --force"):
+            load_bundle(museum_cfg, out)
+        run_clustering(museum_cfg, force=True, index_dir=out)
+        assert load_bundle(museum_cfg, out).communities
 
     def test_unknown_multihop_root(self, museum_cfg, museum_index):
         graph, _ = load_index_graph(museum_index)
@@ -362,7 +433,7 @@ class TestAtomicWrites:
     artifact whole (its old or its new bytes); the index then loads as
     before or is rejected with GraphFormatError."""
 
-    REPLACES = {"index": 4, "cluster": 2, "eval": 2}
+    REPLACES = {"index": 4, "cluster": 3, "eval": 2}
 
     @staticmethod
     def rerun(stage, cfg, fixture, out, tmp_path):
@@ -411,6 +482,6 @@ class TestAtomicWrites:
             load_index_graph(out) if stage == "index" else load_bundle(museum_cfg, out)
         except GraphFormatError:
             return
-        for name in ("graph.jsonl", "chunks.jsonl", "embeddings.jsonl", "communities.jsonl", "reports.jsonl"):
+        for name in ("graph.jsonl", "chunks.jsonl", "embeddings.npy", "communities.jsonl", "reports.jsonl"):
             if (out / name).exists():
                 assert (out / name).read_bytes() == before[name], name
