@@ -48,7 +48,7 @@ def main() -> None:
     print(f"{'alpha':>6} {'Q':>14} {'communities':>12} {'sizes'}")
     partitions = {}
     for alpha in args.alphas:
-        params = ClusterParams(alpha=alpha, attribute_scope="full")
+        params = ClusterParams(alpha=alpha)
         partition = louvain_cluster(graph, params)
         q = modularity_multi(graph, partition, alpha)
         sizes = sorted((len(m) for m in partition.members_of()), reverse=True)

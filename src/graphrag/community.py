@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 import math
-import random
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -71,18 +70,15 @@ class Partition:
 class ClusterParams:
     """Knobs for the clustering stage.
 
-    ``attribute_scope`` picks how the optimizer's move gain accounts for the
-    attribute term: "2hop" restricts attribute pairs to nodes within two hops
-    (cheap, the default), "full" uses every node pair exactly as the metric
-    does. The reported metric is always the full-pair objective.
+    The optimizer's move gain scores the attribute term over every node pair
+    that shares an attribute value, the same pairs ``modularity_multi``
+    sums, so each accepted move raises the reported objective.
     """
 
     alpha: float = 0.5
     tau: float = 0.3
     max_passes: int = 10
     min_community_size: int = 2
-    seed: int | None = None
-    attribute_scope: str = "2hop"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.tau <= 1.0:
@@ -91,10 +87,6 @@ class ClusterParams:
             raise ValueError("alpha must be finite and non-negative")
         if self.max_passes < 1:
             raise ValueError("max_passes must be >= 1")
-        if self.seed is not None and not isinstance(self.seed, int):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if self.attribute_scope not in ("2hop", "full"):
-            raise ValueError("attribute_scope must be '2hop' or 'full'")
 
 
 @dataclass(frozen=True)
@@ -195,16 +187,14 @@ def modularity_multi(graph: KnowledgeGraph, partition: Partition, alpha: float) 
 class _Level:
     """Working graph for one aggregation level. Supernode i carries its
     symmetric adjacency, internal (self) weight, the pairwise attribute mass
-    to other supernodes, its internal attribute mass, and the original
-    members it stands for."""
+    to other supernodes, and the original members it stands for."""
 
-    __slots__ = ("adj", "selfw", "attr_adj", "attr_self", "members", "k")
+    __slots__ = ("adj", "selfw", "attr_adj", "members", "k")
 
     def __init__(self, n: int):
         self.adj: list[dict[int, float]] = [dict() for _ in range(n)]
         self.selfw = [0.0] * n
         self.attr_adj: list[dict[int, float]] = [dict() for _ in range(n)]
-        self.attr_self = [0.0] * n
         self.members: list[list[int]] = [[] for _ in range(n)]
         self.k = [0.0] * n
 
@@ -217,7 +207,7 @@ class _Level:
         return len(self.members)
 
 
-def _initial_level(graph: KnowledgeGraph, scope: str) -> _Level:
+def _initial_level(graph: KnowledgeGraph) -> _Level:
     nodes = graph.node_ids()
     index = {node: i for i, node in enumerate(nodes)}
     level = _Level(len(nodes))
@@ -240,11 +230,6 @@ def _initial_level(graph: KnowledgeGraph, scope: str) -> _Level:
         for pair in pa:
             held = holders[pair]
             candidates.update(held[bisect_right(held, i):])
-        if scope == "2hop" and candidates:  # neighbors plus neighbors-of-neighbors
-            near = set(level.adj[i])
-            for nb in level.adj[i]:
-                near.update(level.adj[nb])
-            candidates &= near
         for j in candidates:
             pb = pair_sets[j]
             s = len(pa & pb) / len(pa | pb)
@@ -267,12 +252,10 @@ def _local_moves(
     comm: list[int],
     m: float,
     alpha: float,
-    rng: random.Random | None,
 ) -> bool:
-    """Greedy move phase. Visits supernodes in ascending id order (shuffled
-    only when a seed is set), moving each to the graph-neighboring community
-    with the largest positive gain; ties go to the lowest community id.
-    Returns whether any move happened."""
+    """Greedy move phase. Visits supernodes in ascending id order, moving
+    each to the graph-neighboring community with the largest positive gain;
+    ties go to the lowest community id. Returns whether any move happened."""
     n = level.size
     k_tot: dict[int, float] = {}
     for i in range(n):
@@ -281,10 +264,7 @@ def _local_moves(
     improved = True
     while improved:
         improved = False
-        order = list(range(n))
-        if rng is not None:
-            rng.shuffle(order)
-        for v in order:
+        for v in range(n):
             a = comm[v]
             if not level.adj[v]:
                 continue  # isolated supernode: no neighboring community
@@ -340,7 +320,6 @@ def _aggregate(level: _Level, comm: list[int]) -> _Level:
         for i in idxs:
             merged.extend(level.members[i])
             nxt.selfw[new_id] += level.selfw[i]
-            nxt.attr_self[new_id] += level.attr_self[i]
         nxt.members[new_id] = sorted(merged)
     n = level.size
     for i in range(n):
@@ -360,9 +339,7 @@ def _aggregate(level: _Level, comm: list[int]) -> _Level:
                 continue
             s = level.attr_adj[i][j]
             cj = remap[comm[j]]
-            if ci == cj:
-                nxt.attr_self[ci] += s
-            else:
+            if ci != cj:  # mass inside one supernode is equal for all its moves
                 nxt.attr_adj[ci][cj] = nxt.attr_adj[ci].get(cj, 0.0) + s
                 nxt.attr_adj[cj][ci] = nxt.attr_adj[cj].get(ci, 0.0) + s
     nxt.finish_degrees()
@@ -372,7 +349,7 @@ def _aggregate(level: _Level, comm: list[int]) -> _Level:
 def louvain_cluster(graph: KnowledgeGraph, params: ClusterParams | None = None) -> Partition:
     """Optimize the attribute-aware objective by local moves + aggregation.
 
-    Deterministic by default: ascending visit order, largest-gain move,
+    Deterministic: ascending visit order, largest-gain move,
     lowest-community-id tie break. The result's full-pair objective value is
     never below the singleton partition's (attribute similarities are
     non-negative, so accepted moves can only help).
@@ -381,11 +358,10 @@ def louvain_cluster(graph: KnowledgeGraph, params: ClusterParams | None = None) 
     m = graph.total_weight()
     if m <= 0.0:
         raise UndefinedModularityError("clustering needs at least one non-loop edge")
-    level = _initial_level(graph, params.attribute_scope)
-    rng = random.Random(params.seed) if params.seed is not None else None
+    level = _initial_level(graph)
     comm = list(range(level.size))
     for _ in range(params.max_passes):
-        moved = _local_moves(level, comm, m, params.alpha, rng)
+        moved = _local_moves(level, comm, m, params.alpha)
         if not moved:
             break
         level = _aggregate(level, comm)
@@ -413,9 +389,13 @@ def boundary_affinities(graph: KnowledgeGraph, members: frozenset[int] | set[int
 
 
 def edges_within(graph: KnowledgeGraph, node_ids: frozenset[int] | set[int]) -> tuple[tuple[int, int, str], ...]:
+    """Keys of the edges with both ends in ``node_ids``, in ascending key
+    order: the members' out-edges, walked by ascending head."""
     return tuple(
-        edge.key for edge in graph.edges()
-        if edge.head in node_ids and edge.tail in node_ids
+        edge.key
+        for head in sorted(node_ids)
+        for edge in graph.out_edges(head)
+        if edge.tail in node_ids
     )
 
 

@@ -25,10 +25,13 @@ ABLATABLE = ("schema", "community", "graph")
 
 _TOP_KEYS = {"schema", "corpus", "index_dir", "chunking", "indexing", "clustering",
              "fusion", "clients", "ablate"}
-_CHUNK_KEYS = {"max_chars", "overlap_chars", "split_preference"}
+_CHUNK_KEYS = {"max_chars", "overlap_chars"}
 _INDEX_KEYS = {"attribute_relations", "max_failure_fraction", "max_workers"}
-_CLUSTER_KEYS = {"alpha", "tau", "max_passes", "min_community_size", "seed",
-                 "attribute_scope", "attribute_keys", "multihop"}
+# attribute_scope has one legal value, "full", yet stays a known key: the
+# benchmark's config generator (perfbench/generate.py) writes it into every
+# config, and an unknown key is refused
+_CLUSTER_KEYS = {"alpha", "tau", "max_passes", "min_community_size", "attribute_scope",
+                 "attribute_keys", "multihop"}
 _FUSION_KEYS = {"w1", "w2", "khop", "topk_candidates", "final_k"}
 _CLIENT_KEYS = {"mode", "chat_model", "embed_model", "chat_endpoint", "embed_endpoint",
                 "rerank_endpoint", "embed_dim", "timeout", "stub_rules"}
@@ -151,6 +154,37 @@ def _real(
     return value
 
 
+def _strings(value: object, where: str) -> tuple[str, ...]:
+    """``value`` as a tuple of strings; null (or absent) is empty. A bare
+    string or any other type is an error naming the dotted key ``where``,
+    never a sequence of its characters."""
+    if value is None:
+        return ()
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise ConfigError(f"{where} must be a list of strings, got {_shown(value)}")
+    return tuple(value)
+
+
+def _string_lists(value: object, where: str) -> tuple[tuple[str, ...], ...]:
+    """``value`` as a tuple of string tuples; null (or absent) is empty."""
+    if value is None:
+        return ()
+    if not isinstance(value, list) or not all(isinstance(item, list) for item in value):
+        raise ConfigError(f"{where} must be a list of string lists, got {_shown(value)}")
+    return tuple(_strings(item, f"{where}[{i}]") for i, item in enumerate(value))
+
+
+def _string_map(value: object, where: str) -> dict[str, str]:
+    """``value`` as a string-to-string dict; null (or absent) is empty."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict) or not all(
+        isinstance(k, str) and isinstance(v, str) for k, v in value.items()
+    ):
+        raise ConfigError(f"{where} must be a mapping of strings to strings, got {_shown(value)}")
+    return dict(value)
+
+
 def load_config(path: str | Path) -> PipelineConfig:
     path = Path(path)
     if not path.is_file():
@@ -180,45 +214,47 @@ def load_config(path: str | Path) -> PipelineConfig:
         chunking = ChunkingConfig(
             max_chars=_int(chunk_raw, "max_chars", 1200, "chunking", minimum=1),
             overlap_chars=_int(chunk_raw, "overlap_chars", 200, "chunking", minimum=0),
-            split_preference=tuple(chunk_raw.get("split_preference", ChunkingConfig.split_preference)),
         )
 
         index_raw = raw.get("indexing") or {}
         _require_keys(index_raw, _INDEX_KEYS, "indexing")
         indexing = IndexingConfig(
             chunking=chunking,
-            attribute_relations=dict(index_raw.get("attribute_relations") or {}),
+            attribute_relations=_string_map(index_raw.get("attribute_relations"), "indexing.attribute_relations"),
             max_failure_fraction=_real(index_raw, "max_failure_fraction", 0.2, "indexing", low=0.0, high=1.0),
             max_workers=_int(index_raw, "max_workers", 4, "indexing", minimum=1),
         )
 
         cluster_raw = raw.get("clustering") or {}
         _require_keys(cluster_raw, _CLUSTER_KEYS, "clustering")
+        scope = cluster_raw.get("attribute_scope", "full")
+        if scope != "full":
+            raise ConfigError(f"clustering.attribute_scope must be 'full', got {_shown(scope)}")
         params = ClusterParams(
             alpha=_real(cluster_raw, "alpha", 0.5, "clustering", low=0.0),
             tau=_real(cluster_raw, "tau", 0.3, "clustering", low=0.0, high=1.0),
             max_passes=_int(cluster_raw, "max_passes", 10, "clustering", minimum=1),
             min_community_size=_int(cluster_raw, "min_community_size", 2, "clustering", minimum=1),
-            seed=None if cluster_raw.get("seed") is None else _int(cluster_raw, "seed", 0, "clustering"),
-            attribute_scope=str(cluster_raw.get("attribute_scope", "2hop")),
         )
         multihop = []
         for i, spec in enumerate(cluster_raw.get("multihop") or []):
+            where = f"clustering.multihop[{i}]"
             if not isinstance(spec, dict):
-                raise ConfigError(f"clustering.multihop[{i}] must be a mapping")
-            _require_keys(spec, _MULTIHOP_KEYS, f"clustering.multihop[{i}]")
-            if not spec.get("root"):
-                raise ConfigError(f"clustering.multihop[{i}]: root is required")
+                raise ConfigError(f"{where} must be a mapping")
+            _require_keys(spec, _MULTIHOP_KEYS, where)
+            root = spec.get("root")
+            if not isinstance(root, str) or not root:
+                raise ConfigError(f"{where}.root must be a non-empty string, got {_shown(root)}")
             multihop.append(
                 MultihopSpec(
-                    root=str(spec["root"]),
-                    hops=_int(spec, "hops", 2, f"clustering.multihop[{i}]", minimum=0),
-                    patterns=tuple(tuple(str(r) for r in p) for p in spec.get("patterns") or []),
+                    root=root,
+                    hops=_int(spec, "hops", 2, where, minimum=0),
+                    patterns=_string_lists(spec.get("patterns"), f"{where}.patterns"),
                 )
             )
         clustering = ClusteringConfig(
             params=params,
-            attribute_keys=tuple(str(k) for k in cluster_raw.get("attribute_keys") or []),
+            attribute_keys=_strings(cluster_raw.get("attribute_keys"), "clustering.attribute_keys"),
             multihop=tuple(multihop),
         )
 
@@ -263,7 +299,7 @@ def load_config(path: str | Path) -> PipelineConfig:
             stub_rules=tuple(rules),
         )
 
-        ablate = tuple(str(a) for a in raw.get("ablate") or [])
+        ablate = _strings(raw.get("ablate"), "ablate")
         unknown = set(ablate) - set(ABLATABLE)
         if unknown:
             raise ConfigError(f"ablate: unknown toggles {sorted(unknown)} (known: {ABLATABLE})")

@@ -7,9 +7,6 @@ matching some evidence) and Recall (fraction of evidence covered by some
 chunk) in percent, with F1 their harmonic mean. The average row takes the
 arithmetic mean of the per-type relevancies and recalls and derives its F1
 from those means, not by averaging the per-type F1 values.
-
-An optional LLM-judge mode asks a chat client instead; it is never the
-acceptance path.
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import BenchmarkError
-from .extraction import ChatClient
 from .records import read_input
 from .textnorm import canonical_name
 
@@ -228,39 +224,3 @@ def load_benchmark(
     for d in diagnostics:
         log.info("benchmark: %s", d)
     return [], queries, diagnostics
-
-
-# -- optional LLM judge ----------------------------------------------------------------
-
-
-def llm_judge_scores(
-    results: Sequence,
-    query: BenchmarkQuery,
-    client: ChatClient,
-) -> tuple[float, float]:
-    """LLM-judged (relevancy, recall): yes/no verdicts per chunk and per
-    evidence item. Slow and non-deterministic with a real model; offered for
-    parity experiments, never used by the deterministic harness."""
-    texts = [r.text for r in results]
-    if not texts:
-        return 0.0, 0.0
-
-    def ask(prompt: str) -> bool:
-        reply = client.complete(
-            "You judge retrieval quality. Answer strictly 'yes' or 'no'.",
-            prompt,
-            temperature=0.0,
-        )
-        return reply.strip().lower().startswith("yes")
-
-    relevant = 0
-    for text in texts:
-        if ask(f"Question: {query.question}\n\nPassage:\n{text}\n\nIs this passage relevant?"):
-            relevant += 1
-    covered = 0
-    joined = "\n---\n".join(texts)
-    for evidence in query.gold_evidence:
-        if ask(f"Passages:\n{joined}\n\nFact: {evidence}\n\nDo the passages state this fact?"):
-            covered += 1
-    return 100.0 * relevant / len(texts), 100.0 * covered / len(query.gold_evidence)
-

@@ -41,16 +41,12 @@ _SENTENCE_BREAK = re.compile(r"[.!?]+(?=\s)")
 class ChunkingConfig:
     max_chars: int = 1200
     overlap_chars: int = 200
-    split_preference: tuple[str, ...] = ("paragraph", "sentence", "hard")
 
     def __post_init__(self) -> None:
         if self.max_chars <= 0:
             raise ValueError("max_chars must be positive")
         if not 0 <= self.overlap_chars < self.max_chars:
             raise ValueError("overlap_chars must satisfy 0 <= overlap < max_chars")
-        unknown = set(self.split_preference) - {"paragraph", "sentence", "hard"}
-        if unknown:
-            raise ValueError(f"unknown split preference: {sorted(unknown)}")
 
 
 def _boundary_in(body: str, pattern: re.Pattern, lo: int, hi: int) -> int | None:
@@ -86,13 +82,8 @@ def chunk_document(document_id: str, body: str, cfg: ChunkingConfig | None = Non
         if hard_end < n:
             # a usable boundary must leave the next start strictly ahead
             lo = start + cfg.overlap_chars
-            for kind in cfg.split_preference:
-                if kind == "paragraph":
-                    pos = _boundary_in(body, _PARAGRAPH_BREAK, lo, hard_end)
-                elif kind == "sentence":
-                    pos = _boundary_in(body, _SENTENCE_BREAK, lo, hard_end)
-                else:
-                    pos = hard_end
+            for pattern in (_PARAGRAPH_BREAK, _SENTENCE_BREAK):
+                pos = _boundary_in(body, pattern, lo, hard_end)
                 if pos is not None:
                     end = pos
                     break

@@ -2,7 +2,7 @@
 
 An index directory is self-contained:
 
-    manifest.json       build record: config hash, counts, artifact digests
+    manifest.json       build record: format version, counts, artifact digests
     graph.jsonl         nodes and edges
     chunks.jsonl        chunk texts with provenance offsets
     embeddings.npy      one float64 row per chunk, in chunk id order
@@ -25,7 +25,10 @@ The manifest binds the artifacts together by sha256. ``build_index`` records
 the digests of the graph, chunk and embedding files; ``run_clustering`` then
 rewrites the manifest with the digests of the communities and reports and of
 the graph they were clustered from. Loading checks every digest the manifest
-holds.
+holds. The config hash and client identities go to the eval report, not
+the manifest: the hash also covers query-time settings such as ``fusion``,
+so it cannot tell a stale index from a retuned query. The load-time guard
+against a changed embedder is the ``clients.embed_dim`` check.
 """
 
 from __future__ import annotations
@@ -235,10 +238,8 @@ def build_index(
     manifest = {
         "format_version": FORMAT_VERSION,
         "created_at": datetime.now(timezone.utc).isoformat(),
-        "config_hash": cfg.hash(),
         "schema_version": schema.version,
         "ablate": sorted(cfg.ablate),
-        "clients": clients.identities(),
         "counts": {
             "documents": len(documents),
             "chunks": graph.chunk_count,
@@ -410,7 +411,6 @@ def run_clustering(
             "tau": params.tau,
             "max_passes": params.max_passes,
             "min_community_size": params.min_community_size,
-            "attribute_scope": params.attribute_scope,
         },
     }]
     for c in communities:

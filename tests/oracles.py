@@ -161,11 +161,10 @@ def local_move_pass(
     return assignment, ambiguous
 
 
-def pairwise_initial_level(graph, scope: str, level_cls, similarity):
+def pairwise_initial_level(graph, level_cls, similarity):
     """The optimizer's first level built the quadratic way: ``similarity``
-    called on every node pair ("full") or every pair within two hops
-    ("2hop"). ``level_cls`` and ``similarity`` are the package's level type
-    and attribute-similarity function."""
+    called on every node pair. ``level_cls`` and ``similarity`` are the
+    package's level type and attribute-similarity function."""
     nodes = graph.node_ids()
     index = {node: i for i, node in enumerate(nodes)}
     level = level_cls(len(nodes))
@@ -176,17 +175,7 @@ def pairwise_initial_level(graph, scope: str, level_cls, similarity):
         for other in sorted(adj[node]):
             level.adj[i][index[other]] = adj[node][other]
     attrs = [graph.node(node).attributes for node in nodes]
-    if scope == "full":
-        pairs = [(i, j) for i in range(len(nodes)) for j in range(i + 1, len(nodes))]
-    else:
-        pairs = []
-        for node in nodes:
-            i = index[node]
-            near = set(graph.neighbors(node))
-            for nb in sorted(near):
-                near = near | graph.neighbors(nb)
-            near.discard(node)
-            pairs.extend((i, index[other]) for other in sorted(near) if index[other] > i)
+    pairs = [(i, j) for i in range(len(nodes)) for j in range(i + 1, len(nodes))]
     for i, j in pairs:
         s = similarity(attrs[i], attrs[j])
         if s > 0.0:

@@ -144,7 +144,7 @@ def test_criterion_3_clustering_optimality():
         for _ in range(10):
             graph, ids = connected_graph(rng, 7, edge_p=0.5)
             nodes, weights, attrs = oracles.snapshot(graph)
-            params = ClusterParams(alpha=alpha, attribute_scope="full")
+            params = ClusterParams(alpha=alpha)
             part = louvain_cluster(graph, params)
             q = modularity_multi(graph, part, alpha)
             best, _ = oracles.best_partitions(nodes, weights, attrs, alpha)

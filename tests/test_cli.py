@@ -104,6 +104,21 @@ class TestIndexCommand:
         assert "Traceback" not in captured.err + captured.out
         assert target.read_text() == "occupied"
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("indexing", "attribute_relations", {"DatedTo": ["era"]}),
+        ("clustering", "attribute_keys", "era"),
+        ("multihop", "patterns", ["DatedTo"]),
+    ])
+    def test_misshapen_setting_is_a_clean_error(self, workspace, capsys, section, key, value):
+        cfg = workspace / "config.yaml"
+        raw = yaml.safe_load(cfg.read_text("utf-8"))
+        set_config_value(raw, section, key, value)
+        cfg.write_text(yaml.safe_dump(raw), "utf-8")
+        assert run(["index", "--config", cfg]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and f".{key} must be" in lines[0], lines
+        assert not (workspace / "index").exists()
+
     def test_failed_replace_is_a_clean_error(self, workspace, capsys, monkeypatch):
         cfg = workspace / "config.yaml"
         assert run(["index", "--config", cfg]) == 0

@@ -130,7 +130,7 @@ class TestLouvain:
         shapes = {}
         for alpha in (0.0, 2.0):
             g, ids = build()
-            part = louvain_cluster(g, ClusterParams(alpha=alpha, attribute_scope="full"))
+            part = louvain_cluster(g, ClusterParams(alpha=alpha))
             got = modularity_multi(g, part, alpha)
             nodes, weights, attrs = oracles.snapshot(g)
             best, winners = oracles.best_partitions(nodes, weights, attrs, alpha)
@@ -144,7 +144,7 @@ class TestLouvain:
         for _ in range(12):
             g, ids = connected_graph(rng, 8)
             for alpha in (0.0, 0.7):
-                part = louvain_cluster(g, ClusterParams(alpha=alpha, attribute_scope="full"))
+                part = louvain_cluster(g, ClusterParams(alpha=alpha))
                 q = modularity_multi(g, part, alpha)
                 q0 = modularity_multi(g, oracles.singletons(Partition, ids), alpha)
                 assert q >= q0 - 1e-12
@@ -152,15 +152,8 @@ class TestLouvain:
     def test_deterministic_without_seed(self):
         rng = random.Random(25)
         g, _ = connected_graph(rng, 9)
-        p1 = louvain_cluster(g, ClusterParams(alpha=0.5, attribute_scope="full"))
-        p2 = louvain_cluster(g, ClusterParams(alpha=0.5, attribute_scope="full"))
-        assert p1.assignment == p2.assignment
-
-    def test_seeded_runs_reproducible(self):
-        rng = random.Random(27)
-        g, _ = connected_graph(rng, 9)
-        p1 = louvain_cluster(g, ClusterParams(alpha=0.5, seed=11, attribute_scope="full"))
-        p2 = louvain_cluster(g, ClusterParams(alpha=0.5, seed=11, attribute_scope="full"))
+        p1 = louvain_cluster(g, ClusterParams(alpha=0.5))
+        p2 = louvain_cluster(g, ClusterParams(alpha=0.5))
         assert p1.assignment == p2.assignment
 
     def test_first_pass_matches_metric_recomputing_oracle(self):
@@ -175,22 +168,11 @@ class TestLouvain:
                 want, ambiguous = oracles.local_move_pass(nodes, weights, attrs, alpha)
                 if ambiguous:
                     continue  # near-tied deltas: rounding may pick either move
-                part = louvain_cluster(
-                    g, ClusterParams(alpha=alpha, max_passes=1, attribute_scope="full")
-                )
+                part = louvain_cluster(g, ClusterParams(alpha=alpha, max_passes=1))
                 got = tuple(part.assignment[n] for n in nodes)
                 assert got == oracles.canonical_assignment(want)
                 checked += 1
         assert checked >= 40
-
-    def test_two_hop_scope_still_beats_singletons(self):
-        rng = random.Random(31)
-        for _ in range(8):
-            g, ids = connected_graph(rng, 8)
-            part = louvain_cluster(g, ClusterParams(alpha=0.5, attribute_scope="2hop"))
-            q = modularity_multi(g, part, 0.5)
-            q0 = modularity_multi(g, oracles.singletons(Partition, ids), 0.5)
-            assert q >= q0 - 1e-12
 
     def test_empty_graph_rejected(self):
         g = KnowledgeGraph()
@@ -220,12 +202,9 @@ def attributed_graphs(draw) -> KnowledgeGraph:
     return g
 
 
-def brute_force_attr_adj(graph: KnowledgeGraph, scope: str) -> list[dict[int, float]]:
+def brute_force_attr_adj(graph: KnowledgeGraph) -> list[dict[int, float]]:
     nodes = graph.node_ids()
     pairs = [(i, j) for i in range(len(nodes)) for j in range(len(nodes)) if i != j]
-    if scope == "2hop":
-        links = [(e.head, e.tail) for e in graph.edges()]
-        pairs = [(i, j) for i, j in pairs if nodes[j] in oracles.khop_nodes(links, nodes[i], 2)]
     want: list[dict[int, float]] = [{} for _ in nodes]
     for i, j in pairs:
         s = attribute_similarity(graph.node(nodes[i]).attributes, graph.node(nodes[j]).attributes)
@@ -235,22 +214,20 @@ def brute_force_attr_adj(graph: KnowledgeGraph, scope: str) -> list[dict[int, fl
 
 
 class TestAttributePairBuild:
-    @given(attributed_graphs(), st.sampled_from(("full", "2hop")))
-    def test_attr_adj_matches_brute_force(self, g, scope):
-        level = community._initial_level(g, scope)
-        assert level.attr_adj == brute_force_attr_adj(g, scope)
+    @given(attributed_graphs())
+    def test_attr_adj_matches_brute_force(self, g):
+        level = community._initial_level(g)
+        assert level.attr_adj == brute_force_attr_adj(g)
 
-    @given(attributed_graphs(), st.sampled_from(("full", "2hop")), st.sampled_from((0.5, 2.0)))
-    def test_partition_matches_pairwise_build(self, g, scope, alpha):
+    @given(attributed_graphs(), st.sampled_from((0.5, 2.0)))
+    def test_partition_matches_pairwise_build(self, g, alpha):
         if g.total_weight() <= 0:
             g.add_edge(g.node_ids()[0], "linked", g.node_ids()[1])
-        params = ClusterParams(alpha=alpha, attribute_scope=scope)
+        params = ClusterParams(alpha=alpha)
         got = louvain_cluster(g, params)
 
-        def pairwise(graph, scope):
-            return oracles.pairwise_initial_level(
-                graph, scope, community._Level, attribute_similarity
-            )
+        def pairwise(graph):
+            return oracles.pairwise_initial_level(graph, community._Level, attribute_similarity)
 
         with mock.patch.object(community, "_initial_level", pairwise):
             want = louvain_cluster(g, params)

@@ -72,6 +72,8 @@ def test_unknown_nested_keys(tmp_path):
         ("clustering", "gamma"),
         ("fusion", "w3"),
         ("clients", "retries"),
+        ("clustering", "seed"),
+        ("chunking", "split_preference"),
     ]:
         def mutate(raw, section=section, key=key):
             raw[section][key] = 1
@@ -114,6 +116,15 @@ def test_tau_out_of_range(tmp_path):
     ("multihop", "hops", -1, "hops"),
     ("stub_rules", "pattern", "(unclosed", "pattern"),
     ("stub_rules", "pattern", "no groups", "group"),
+    ("clustering", "attribute_keys", "era", "clustering.attribute_keys"),
+    ("clustering", "attribute_keys", ["era", 7], "clustering.attribute_keys"),
+    ("multihop", "patterns", ["DatedTo"], r"clustering.multihop\[0\].patterns"),
+    ("multihop", "patterns", [["DatedTo", 1]], r"clustering.multihop\[0\].patterns\[0\]"),
+    ("multihop", "root", ["Sword of Goujian"], r"clustering.multihop\[0\].root"),
+    ("multihop", "root", 7, r"clustering.multihop\[0\].root"),
+    ("indexing", "attribute_relations", {"DatedTo": ["era"]}, "indexing.attribute_relations"),
+    ("indexing", "attribute_relations", ["DatedTo", "era"], "indexing.attribute_relations"),
+    ("clustering", "attribute_scope", "2hop", "clustering.attribute_scope"),
 ])
 def test_bad_value_rejected_at_load(tmp_path, section, key, value, message):
     path = rewrite(tmp_path, lambda raw: set_config_value(raw, section, key, value))
@@ -190,4 +201,4 @@ def test_readme_example_loads(tmp_path):
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(raw))
     cfg = load_config(path)
-    assert cfg.clustering.params.attribute_scope == "full"
+    assert cfg.clustering.attribute_keys == ("era",)

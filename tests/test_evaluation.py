@@ -18,11 +18,9 @@ from graphrag.evaluation import (
     MetricsRow,
     aggregate,
     f1,
-    llm_judge_scores,
     load_benchmark,
     score_retrieval,
 )
-from graphrag.extraction import ChatClient
 from graphrag.pipeline import build_index
 
 
@@ -259,25 +257,3 @@ class TestBenchmarkQuery:
     def test_evidence_required(self):
         with pytest.raises(ValueError):
             BenchmarkQuery(id="x", question="q", query_type="inference", gold_evidence=())
-
-
-class _MarkerJudge(ChatClient):
-    """Yes for passages marked 'good' and for the fact marked 'covered'."""
-
-    def complete(self, system_prompt, user_prompt, temperature=0.0):
-        if "Is this passage relevant?" in user_prompt:
-            return "yes" if "good passage" in user_prompt else "no"
-        return "yes" if "Fact: covered" in user_prompt else "no"
-
-
-class TestLlmJudge:
-    def test_counts_yes_verdicts(self):
-        results = [FakeResult("good passage"), FakeResult("bad passage")]
-        q = query(["covered evidence", "missing evidence"], question="anything?")
-        rel, rec = llm_judge_scores(results, q, _MarkerJudge())
-        assert rel == 50.0
-        assert rec == 50.0
-
-    def test_empty_results(self):
-        q = query(["e"])
-        assert llm_judge_scores([], q, _MarkerJudge()) == (0.0, 0.0)
