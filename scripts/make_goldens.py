@@ -41,6 +41,7 @@ WS_QUERY = "Which artifacts date to the Warring States period?"
 ARTIFACTS = (
     "graph.jsonl",
     "chunks.jsonl",
+    "chunks.txt",
     "embeddings.npy",
     "communities.jsonl",
     "reports.jsonl",

@@ -154,6 +154,37 @@ def _real(
     return value
 
 
+def _string(section: dict, key: str, where: str, default: str | None = None, *, nullable: bool = False) -> str | None:
+    """``section[key]``, or ``default`` when absent, as a string. A
+    ``nullable`` setting is null or a non-empty string; any other setting
+    without a default is required. A missing required key, a number, a list
+    or any other type is an error naming the dotted key ``where.key``, never
+    the ``str()`` of the value."""
+    if key not in section and default is None and not nullable:
+        raise ConfigError(f"{where}.{key} is missing")
+    value = section.get(key, default)
+    if nullable and value is None:
+        return None
+    if not isinstance(value, str) or (nullable and not value):
+        wanted = "null or a non-empty string" if nullable else "a string"
+        raise ConfigError(f"{where}.{key} must be {wanted}, got {_shown(value)}")
+    return value
+
+
+def _mappings(value: object, where: str) -> list[dict]:
+    """``value`` as a list of mappings; null (or absent) is empty. A single
+    mapping or any other type is an error naming the dotted key ``where``,
+    never a walk over its keys."""
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list of mappings, got {_shown(value)}")
+    for i, item in enumerate(value):
+        if not isinstance(item, dict):
+            raise ConfigError(f"{where}[{i}] must be a mapping, got {_shown(item)}")
+    return value
+
+
 def _strings(value: object, where: str) -> tuple[str, ...]:
     """``value`` as a tuple of strings; null (or absent) is empty. A bare
     string or any other type is an error naming the dotted key ``where``,
@@ -237,10 +268,8 @@ def load_config(path: str | Path) -> PipelineConfig:
             min_community_size=_int(cluster_raw, "min_community_size", 2, "clustering", minimum=1),
         )
         multihop = []
-        for i, spec in enumerate(cluster_raw.get("multihop") or []):
+        for i, spec in enumerate(_mappings(cluster_raw.get("multihop"), "clustering.multihop")):
             where = f"clustering.multihop[{i}]"
-            if not isinstance(spec, dict):
-                raise ConfigError(f"{where} must be a mapping")
             _require_keys(spec, _MULTIHOP_KEYS, where)
             root = spec.get("root")
             if not isinstance(root, str) or not root:
@@ -271,29 +300,25 @@ def load_config(path: str | Path) -> PipelineConfig:
         client_raw = raw.get("clients") or {}
         _require_keys(client_raw, _CLIENT_KEYS, "clients")
         rules = []
-        for i, rule in enumerate(client_raw.get("stub_rules") or []):
-            if not isinstance(rule, dict):
-                raise ConfigError(f"clients.stub_rules[{i}] must be a mapping")
-            _require_keys(rule, _RULE_KEYS, f"clients.stub_rules[{i}]")
-            try:
-                rules.append(
-                    StubRule(
-                        pattern=str(rule["pattern"]),
-                        head_type=str(rule["head_type"]),
-                        relation=str(rule["relation"]),
-                        tail_type=str(rule["tail_type"]),
-                        score=_real(rule, "score", 0.0, f"clients.stub_rules[{i}]"),
-                    )
+        for i, rule in enumerate(_mappings(client_raw.get("stub_rules"), "clients.stub_rules")):
+            where = f"clients.stub_rules[{i}]"
+            _require_keys(rule, _RULE_KEYS, where)
+            rules.append(
+                StubRule(
+                    pattern=_string(rule, "pattern", where),
+                    head_type=_string(rule, "head_type", where),
+                    relation=_string(rule, "relation", where),
+                    tail_type=_string(rule, "tail_type", where),
+                    score=_real(rule, "score", 0.0, where),
                 )
-            except KeyError as exc:
-                raise ConfigError(f"clients.stub_rules[{i}]: missing {exc}") from exc
+            )
         clients = ClientConfig(
-            mode=str(client_raw.get("mode", "stub")),
-            chat_model=str(client_raw.get("chat_model", "")),
-            embed_model=str(client_raw.get("embed_model", "")),
-            chat_endpoint=client_raw.get("chat_endpoint"),
-            embed_endpoint=client_raw.get("embed_endpoint"),
-            rerank_endpoint=client_raw.get("rerank_endpoint"),
+            mode=_string(client_raw, "mode", "clients", "stub"),
+            chat_model=_string(client_raw, "chat_model", "clients", ""),
+            embed_model=_string(client_raw, "embed_model", "clients", ""),
+            chat_endpoint=_string(client_raw, "chat_endpoint", "clients", nullable=True),
+            embed_endpoint=_string(client_raw, "embed_endpoint", "clients", nullable=True),
+            rerank_endpoint=_string(client_raw, "rerank_endpoint", "clients", nullable=True),
             embed_dim=_int(client_raw, "embed_dim", 256, "clients", minimum=1),
             timeout=_real(client_raw, "timeout", 30.0, "clients", low=0.0, open_low=True),
             stub_rules=tuple(rules),

@@ -8,16 +8,24 @@ stored but excluded from those sums.
 
 On-disk format: the JSON-lines records of ``records``. ``graph.jsonl``
 holds a ``meta`` record, then ``node`` and ``edge`` records in that order;
-``chunks.jsonl`` holds a ``meta`` record, then ``chunk`` records. The loaders
-fail closed on kinds that do not belong in the file, out-of-order sections,
-references to undefined nodes, and corrupt lines.
+its loader fails closed on kinds that do not belong in the file,
+out-of-order sections, references to undefined nodes, and corrupt lines.
+The chunks are columns: ``chunks.jsonl`` holds a ``meta`` record with the
+chunk ``count``, then one ``chunks`` record of four parallel lists in
+ascending id order (``id``, ``document_id``, ``char_offset`` and
+``text_end``), and ``chunks.txt`` holds every chunk text joined in that
+order as UTF-8, chunk i ending at character ``text_end[i]``. A loaded graph
+answers from those columns and builds a ``Chunk`` only when one is asked
+for.
 """
 
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain, islice
+from operator import le, lt
 from typing import Iterable, Iterator, Mapping
 
 from .errors import GraphFormatError, UnknownNodeError
@@ -28,8 +36,11 @@ log = logging.getLogger(__name__)
 
 GRAPH_NAME = "graph.jsonl"
 CHUNKS_NAME = "chunks.jsonl"
-# the record kinds each file holds after its meta record, in section order
-_SECTIONS = {GRAPH_NAME: ("node", "edge"), CHUNKS_NAME: ("chunk",)}
+CHUNKS_TEXT_NAME = "chunks.txt"
+# the record kinds graph.jsonl holds after its meta record, in section order
+_SECTIONS = ("node", "edge")
+# the columns of the chunks record and the exact type of their elements
+_CHUNK_COLUMNS = (("id", str), ("document_id", str), ("char_offset", int), ("text_end", int))
 
 
 @dataclass
@@ -74,6 +85,41 @@ def make_chunk_id(document_id: str, char_offset: int) -> str:
     return f"{document_id}@{char_offset:08d}"
 
 
+@dataclass(frozen=True)
+class ChunkColumns:
+    """The read-only chunks of a loaded index: parallel columns in strictly
+    ascending id order over one text, chunk i's text being
+    ``text[text_end[i - 1]:text_end[i]]`` (from 0 for the first). Lookups
+    bisect the ids; a ``Chunk`` is built only when one is asked for."""
+
+    ids: list[str]
+    document_ids: list[str]
+    char_offsets: list[int]
+    text_end: list[int]
+    text: str = field(repr=False)
+
+    def _row(self, chunk_id: str) -> int:
+        row = bisect_left(self.ids, chunk_id)
+        return row if row < len(self.ids) and self.ids[row] == chunk_id else -1
+
+    def __contains__(self, chunk_id: object) -> bool:
+        return isinstance(chunk_id, str) and self._row(chunk_id) >= 0
+
+    def __getitem__(self, chunk_id: str) -> Chunk:
+        row = self._row(chunk_id)
+        if row < 0:
+            raise KeyError(chunk_id)
+        return Chunk(
+            id=self.ids[row],
+            document_id=self.document_ids[row],
+            text=self.text[self.text_end[row - 1] if row else 0:self.text_end[row]],
+            char_offset=self.char_offsets[row],
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
 class KnowledgeGraph:
     """Mutable during indexing, treated as frozen afterwards.
 
@@ -92,7 +138,8 @@ class KnowledgeGraph:
         self._in: dict[int, list[tuple[int, int, str]]] = {}
         self._name_index: dict[str, set[int]] = {}
         self._key_index: dict[tuple[str, str], int] = {}
-        self._chunks: dict[str, Chunk] = {}
+        # a dict while indexing; the columns of chunks.jsonl once loaded
+        self._chunks: dict[str, Chunk] | ChunkColumns = {}
         self._next_id = 0
 
     # -- nodes --------------------------------------------------------------
@@ -299,10 +346,12 @@ class KnowledgeGraph:
         return chunk_id in self._chunks
 
     def chunk_ids(self) -> list[str]:
+        if isinstance(self._chunks, ChunkColumns):
+            return list(self._chunks.ids)  # stored in id order
         return sorted(self._chunks)
 
     def chunks(self) -> Iterator[Chunk]:
-        for cid in sorted(self._chunks):
+        for cid in self.chunk_ids():
             yield self._chunks[cid]
 
     @property
@@ -366,39 +415,22 @@ def edge_record(edge: GraphEdge) -> dict:
     }
 
 
-def chunk_record(chunk: Chunk) -> dict:
-    return {
-        "kind": "chunk",
-        "id": chunk.id,
-        "document_id": chunk.document_id,
-        "char_offset": chunk.char_offset,
-        "text": chunk.text,
-    }
-
-
-def _meta(graph: KnowledgeGraph, next_node_id: int) -> dict:
-    return {"kind": "meta", "format_version": FORMAT_VERSION,
-            "schema_version": graph.schema_version, "next_node_id": next_node_id}
-
-
 def save_graph(graph: KnowledgeGraph) -> bytes:
     """Serialize the nodes and edges to ``graph.jsonl``'s format; the chunks
     go to ``save_chunks``."""
-    return dump_jsonl(chain(
-        [_meta(graph, graph._next_id)],
-        map(node_record, graph.nodes()),
-        map(edge_record, graph.edges()),
-    ))
+    meta = {"kind": "meta", "format_version": FORMAT_VERSION,
+            "schema_version": graph.schema_version, "next_node_id": graph._next_id}
+    return dump_jsonl(chain([meta], map(node_record, graph.nodes()), map(edge_record, graph.edges())))
 
 
-def _read_graph(data: bytes, name: str) -> KnowledgeGraph:
-    """Build a graph from artifact ``name``, failing closed.
+def load_graph(data: bytes) -> KnowledgeGraph:
+    """Build a graph from ``graph.jsonl`` (nodes and edges), failing closed.
 
     Beyond the format checks of ``read_artifact`` this rejects: a repeated
     meta, a kind the file does not hold, kinds out of section order, edges
     naming undefined nodes, and duplicate ids.
     """
-    sections = _SECTIONS[name]
+    name = GRAPH_NAME
     meta, records = read_artifact(data, name)
     graph = KnowledgeGraph()
     try:
@@ -413,9 +445,9 @@ def _read_graph(data: bytes, name: str) -> KnowledgeGraph:
         try:
             if kind == "meta":
                 raise GraphFormatError(f"{name}:{lineno}: repeated meta record")
-            if kind not in sections:
+            if kind not in _SECTIONS:
                 raise GraphFormatError(f"{name}:{lineno}: unexpected record kind {kind!r}")
-            rank = sections.index(kind)
+            rank = _SECTIONS.index(kind)
             if rank < last_rank:
                 raise GraphFormatError(f"{name}:{lineno}: {kind} record out of section order")
             last_rank = rank
@@ -434,10 +466,11 @@ def _read_graph(data: bytes, name: str) -> KnowledgeGraph:
                 graph._nodes[node_id] = node
                 graph._out.setdefault(node_id, [])
                 graph._in.setdefault(node_id, [])
-                graph._name_index.setdefault(canonical_name(node.name), set()).add(node_id)
-                graph._key_index[(canonical_name(node.name), node.entity_type.casefold())] = node_id
+                canon = canonical_name(node.name)
+                graph._name_index.setdefault(canon, set()).add(node_id)
+                graph._key_index[(canon, node.entity_type.casefold())] = node_id
                 max_node_id = max(max_node_id, node_id)
-            elif kind == "edge":
+            else:  # edge
                 head, tail = int(record["head"]), int(record["tail"])
                 if head not in graph._nodes or tail not in graph._nodes:
                     raise GraphFormatError(
@@ -457,35 +490,72 @@ def _read_graph(data: bytes, name: str) -> KnowledgeGraph:
                 graph._edges[key] = edge
                 graph._out[head].append(key)
                 graph._in[tail].append(key)
-            else:  # chunk
-                chunk = Chunk(
-                    id=str(record["id"]),
-                    document_id=str(record["document_id"]),
-                    text=str(record["text"]),
-                    char_offset=int(record["char_offset"]),
-                )
-                if chunk.id in graph._chunks:
-                    raise GraphFormatError(f"{name}:{lineno}: duplicate chunk id {chunk.id!r}")
-                graph._chunks[chunk.id] = chunk
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphFormatError(f"{name}:{lineno}: malformed {kind} record ({exc})") from exc
     graph._next_id = max(graph._next_id, max_node_id + 1)
     return graph
 
 
-def load_graph(data: bytes) -> KnowledgeGraph:
-    """Parse ``graph.jsonl`` (nodes and edges)."""
-    return _read_graph(data, GRAPH_NAME)
+def save_chunks(graph: KnowledgeGraph) -> tuple[bytes, bytes]:
+    """The bytes of ``chunks.jsonl`` (meta, then the one ``chunks`` record
+    of columns) and of ``chunks.txt`` (the texts joined, UTF-8)."""
+    chunks = list(graph.chunks())
+    meta = {"kind": "meta", "format_version": FORMAT_VERSION,
+            "schema_version": graph.schema_version, "count": len(chunks)}
+    record = {
+        "kind": "chunks",
+        "id": [c.id for c in chunks],
+        "document_id": [c.document_id for c in chunks],
+        "char_offset": [c.char_offset for c in chunks],
+        "text_end": list(accumulate(len(c.text) for c in chunks)),
+    }
+    return dump_jsonl([meta, record]), "".join(c.text for c in chunks).encode("utf-8")
 
 
-def save_chunks(graph: KnowledgeGraph) -> bytes:
-    """Chunk records alone, same line format, own meta header."""
-    return dump_jsonl(chain([_meta(graph, 0)], map(chunk_record, graph.chunks())))
+def load_chunks(data: bytes, text: bytes, into: KnowledgeGraph) -> KnowledgeGraph:
+    """Give ``into`` the chunks of ``chunks.jsonl`` (``data``) over the texts
+    of ``chunks.txt`` (``text``), replacing any it held.
 
-
-def load_chunks(data: bytes, into: KnowledgeGraph) -> KnowledgeGraph:
-    """Merge ``chunks.jsonl`` (meta header + chunk records) into a graph."""
-    loaded = _read_graph(data, CHUNKS_NAME)
-    for chunk in loaded.chunks():
-        into.add_chunk(chunk)
+    Everything is checked here, nothing per chunk is built: one ``chunks``
+    record after the meta; four list columns of the meta's ``count``
+    elements, each element exactly a ``str`` or ``int`` (no bools); strictly
+    ascending ids; a ``text_end`` that never decreases from 0 and ends at the
+    length of ``text``, which must be strict UTF-8.
+    """
+    meta, records = read_artifact(data, CHUNKS_NAME)
+    count = meta.get("count")
+    if type(count) is not int or count < 0:
+        raise GraphFormatError(f"{CHUNKS_NAME}:1: meta count must be a non-negative integer, got {count!r}")
+    record = next(records, None)
+    where = f"{CHUNKS_NAME}:2"
+    if record is None or record.get("kind") != "chunks":
+        found = "no record" if record is None else f"record kind {record.get('kind')!r}"
+        raise GraphFormatError(f"{where}: expected the chunks record, found {found}")
+    if next(records, None) is not None:
+        raise GraphFormatError(f"{CHUNKS_NAME}:3: unexpected record after the chunks record")
+    columns = []
+    for key, kind in _CHUNK_COLUMNS:
+        column = record.get(key)
+        if not isinstance(column, list):
+            raise GraphFormatError(f"{where}: column {key!r} is {'missing' if column is None else 'not a list'}")
+        if len(column) != count:
+            raise GraphFormatError(f"{where}: column {key!r} has {len(column)} elements, the meta count is {count}")
+        if not set(map(type, column)) <= {kind}:
+            raise GraphFormatError(f"{where}: column {key!r} holds a value whose type is not {kind.__name__}")
+        columns.append(column)
+    ids, document_ids, char_offsets, text_end = columns
+    if not all(map(lt, ids, islice(ids, 1, None))):
+        raise GraphFormatError(f"{where}: chunk ids are not strictly ascending")
+    if not all(map(le, chain((0,), text_end), text_end)):
+        raise GraphFormatError(f"{where}: text_end decreases or starts below 0")
+    try:
+        joined = text.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{CHUNKS_TEXT_NAME}: not UTF-8 text ({exc.reason})") from exc
+    end = text_end[-1] if text_end else 0
+    if len(joined) != end:
+        raise GraphFormatError(
+            f"{CHUNKS_TEXT_NAME}: {len(joined)} characters where {where} text_end ends at {end}"
+        )
+    into._chunks = ChunkColumns(ids, document_ids, char_offsets, text_end, joined)
     return into

@@ -4,7 +4,8 @@ An index directory is self-contained:
 
     manifest.json       build record: format version, counts, artifact digests
     graph.jsonl         nodes and edges
-    chunks.jsonl        chunk texts with provenance offsets
+    chunks.jsonl        chunk columns: ids, documents, offsets, text ends
+    chunks.txt          every chunk text joined in chunk id order
     embeddings.npy      one float64 row per chunk, in chunk id order
     communities.jsonl   community memberships (written by cluster)
     reports.jsonl       community reports with embeddings (written by cluster)
@@ -13,8 +14,11 @@ An index directory is self-contained:
 Every ``.jsonl`` artifact is written and read by the one codec in
 ``records``: one compact JSON object per line behind a ``meta`` record that
 carries ``records.FORMAT_VERSION``, the single format version, which the
-manifest also carries. ``embeddings.npy`` is a little-endian float64 matrix
-in numpy's ``.npy`` format, written without pickling; its rows follow
+manifest also carries. ``chunks.jsonl`` holds a single record of columns
+whose ``text_end`` cuts ``chunks.txt``, the chunk texts as one UTF-8 text,
+so a load parses one line and builds no per-chunk object.
+``embeddings.npy`` is a little-endian float64 matrix in numpy's ``.npy``
+format, written without pickling; its rows follow
 ``KnowledgeGraph.chunk_ids()``, so it needs no ids of its own. The corpus and
 benchmark input files go through ``records``' input reader. Every artifact is
 byte-deterministic for a fixed config and corpus; the only run-dependent
@@ -22,13 +26,14 @@ field is the manifest's ``created_at`` timestamp. A failed build raises
 before anything is written.
 
 The manifest binds the artifacts together by sha256. ``build_index`` records
-the digests of the graph, chunk and embedding files; ``run_clustering`` then
-rewrites the manifest with the digests of the communities and reports and of
-the graph they were clustered from. Loading checks every digest the manifest
-holds. The config hash and client identities go to the eval report, not
-the manifest: the hash also covers query-time settings such as ``fusion``,
-so it cannot tell a stale index from a retuned query. The load-time guard
-against a changed embedder is the ``clients.embed_dim`` check.
+the digests of the graph, the two chunk files and the embedding file;
+``run_clustering`` then rewrites the manifest with the digests of the
+communities and reports and of the graph they were clustered from. Loading
+checks every digest the manifest holds. The config hash and client
+identities go to the eval report, not the manifest: the hash also covers
+query-time settings such as ``fusion``, so it cannot tell a stale index
+from a retuned query. The load-time guard against a changed embedder is
+the ``clients.embed_dim`` check.
 """
 
 from __future__ import annotations
@@ -70,6 +75,7 @@ from .evaluation import MetricsReport, aggregate, load_benchmark, score_retrieva
 from .extraction import ChatClient, HttpChatClient, StubChatClient, index_corpus
 from .graph_store import (
     CHUNKS_NAME,
+    CHUNKS_TEXT_NAME,
     GRAPH_NAME,
     KnowledgeGraph,
     load_chunks,
@@ -232,7 +238,7 @@ def build_index(
         raise IndexingError("extraction produced no entities; check the schema and extraction rules")
 
     graph_bytes = save_graph(graph)
-    chunk_bytes = save_chunks(graph)
+    chunk_bytes, chunk_text_bytes = save_chunks(graph)
     embedding_bytes = _embeddings_bytes(graph, clients.embed, cfg.clients.embed_dim)
 
     manifest = {
@@ -249,6 +255,7 @@ def build_index(
         "artifacts": {
             GRAPH_NAME: _sha256(graph_bytes),
             CHUNKS_NAME: _sha256(chunk_bytes),
+            CHUNKS_TEXT_NAME: _sha256(chunk_text_bytes),
             EMBEDDINGS_NAME: _sha256(embedding_bytes),
         },
     }
@@ -264,6 +271,7 @@ def build_index(
     # reject a half-replaced index
     _write_atomic(out / GRAPH_NAME, graph_bytes)
     _write_atomic(out / CHUNKS_NAME, chunk_bytes)
+    _write_atomic(out / CHUNKS_TEXT_NAME, chunk_text_bytes)
     _write_atomic(out / EMBEDDINGS_NAME, embedding_bytes)
     _write_atomic(out / MANIFEST_NAME, _dump_json(manifest))
     log.info(
@@ -308,7 +316,11 @@ def _verified_bytes(index_dir: Path, name: str, manifest: dict) -> bytes:
 def load_index_graph(index_dir: Path) -> tuple[KnowledgeGraph, dict]:
     manifest = read_manifest(index_dir)
     graph = load_graph(_verified_bytes(index_dir, GRAPH_NAME, manifest))
-    load_chunks(_verified_bytes(index_dir, CHUNKS_NAME, manifest), into=graph)
+    load_chunks(
+        _verified_bytes(index_dir, CHUNKS_NAME, manifest),
+        _verified_bytes(index_dir, CHUNKS_TEXT_NAME, manifest),
+        into=graph,
+    )
     return graph, manifest
 
 

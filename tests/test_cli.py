@@ -119,6 +119,21 @@ class TestIndexCommand:
         assert len(lines) == 1 and lines[0].startswith("error:") and f".{key} must be" in lines[0], lines
         assert not (workspace / "index").exists()
 
+    def test_non_string_endpoint_is_a_clean_error(self, workspace, capsys, monkeypatch):
+        sent = []
+        monkeypatch.setattr("graphrag._http.requests.post", lambda *args, **kwargs: sent.append(args))
+        cfg = workspace / "config.yaml"
+        raw = yaml.safe_load(cfg.read_text("utf-8"))
+        raw["clients"].update(mode="http", chat_endpoint=5)
+        cfg.write_text(yaml.safe_dump(raw), "utf-8")
+        assert run(["index", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "clients.chat_endpoint" in lines[0], lines
+        assert "Traceback" not in captured.err + captured.out
+        assert sent == []
+        assert not (workspace / "index").exists()
+
     def test_failed_replace_is_a_clean_error(self, workspace, capsys, monkeypatch):
         cfg = workspace / "config.yaml"
         assert run(["index", "--config", cfg]) == 0
@@ -243,13 +258,19 @@ class TestRetrieveCommand:
         run(["index", "--config", cfg])
         run(["cluster", "--config", cfg])
         index = workspace / "index"
+        # drop the last chunk: its entry in every column and its text
         chunks = index / "chunks.jsonl"
-        lines = chunks.read_text("utf-8").splitlines(keepends=True)
-        dropped = json.loads(lines[-1])["id"]
-        chunks.write_text("".join(lines[:-1]), "utf-8")
-        manifest = json.loads((index / "manifest.json").read_text("utf-8"))
-        del manifest["artifacts"]["chunks.jsonl"]
-        (index / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+        meta, record = map(json.loads, chunks.read_text("utf-8").splitlines())
+        dropped = record["id"][-1]
+        text_end = record["text_end"]
+        start = text_end[-2]
+        for key in ("id", "document_id", "char_offset", "text_end"):
+            del record[key][-1]
+        meta["count"] -= 1
+        chunks.write_text(json.dumps(meta) + "\n" + json.dumps(record) + "\n", "utf-8")
+        texts = index / "chunks.txt"
+        texts.write_bytes(texts.read_bytes().decode("utf-8")[:start].encode("utf-8"))
+        drop_digests(index, "chunks.jsonl", "chunks.txt")
         capsys.readouterr()
         assert run(["retrieve", "--config", cfg, "--query", "warring states artifacts"]) == 1
         captured = capsys.readouterr()
@@ -300,7 +321,7 @@ class TestRetrieveCommand:
         in embeddings.jsonl, is refused with a hint to rebuild it."""
         index = tmp_path / "index"
         shutil.copytree(museum_index, index)
-        chunk_ids = [json.loads(line)["id"] for line in (index / "chunks.jsonl").read_text("utf-8").splitlines()[1:]]
+        chunk_ids = json.loads((index / "chunks.jsonl").read_text("utf-8").splitlines()[1])["id"]
         matrix = np.load(index / "embeddings.npy")
         records = [{"kind": "meta", "format_version": 1, "dimension": 64, "count": len(chunk_ids)}]
         records += [{"kind": "embedding", "ref": cid, "vector": row.tolist()} for cid, row in zip(chunk_ids, matrix)]
@@ -321,6 +342,42 @@ class TestRetrieveCommand:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "index format 1" in lines[0] and lines[0].endswith("rebuild with --force")
+
+    def test_format_2_index_is_a_clean_error(self, museum_index, tmp_path, capsys):
+        """An index in the second format, with one chunks.jsonl record per
+        chunk and no chunks.txt, is refused with a hint to rebuild it."""
+        index = tmp_path / "index"
+        shutil.copytree(museum_index, index)
+        meta, record = map(json.loads, (index / "chunks.jsonl").read_text("utf-8").splitlines())
+        text = (index / "chunks.txt").read_bytes().decode("utf-8")
+        starts = [0, *record["text_end"][:-1]]
+        records = [{"kind": "meta", "format_version": 2, "next_node_id": 0, "schema_version": meta["schema_version"]}]
+        records += [
+            {"kind": "chunk", "id": cid, "document_id": doc, "char_offset": offset, "text": text[start:end]}
+            for cid, doc, offset, start, end in zip(
+                record["id"], record["document_id"], record["char_offset"], starts, record["text_end"]
+            )
+        ]
+        (index / "chunks.jsonl").write_bytes("".join(json.dumps(r) + "\n" for r in records).encode("utf-8"))
+        (index / "chunks.txt").unlink()
+        for name in ("graph.jsonl", "communities.jsonl", "reports.jsonl"):
+            lines = (index / name).read_text("utf-8").splitlines()
+            first = json.loads(lines[0])
+            (index / name).write_text("\n".join([json.dumps({**first, "format_version": 2}), *lines[1:]]) + "\n", "utf-8")
+        manifest = json.loads((index / "manifest.json").read_text("utf-8"))
+        manifest["format_version"] = 2
+        del manifest["artifacts"]["chunks.txt"]
+        for name in manifest["artifacts"]:
+            manifest["artifacts"][name] = hashlib.sha256((index / name).read_bytes()).hexdigest()
+        manifest["clustered_from"] = manifest["artifacts"]["graph.jsonl"]
+        (index / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+        args = ["retrieve", "--config", MUSEUM / "config.yaml", "--index", index, "--query", "warring states"]
+        assert run(args) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "index format 2" in lines[0] and lines[0].endswith("rebuild with --force")
+        assert "Traceback" not in captured.err + captured.out
 
 
 class TestEvalCommand:
@@ -358,7 +415,8 @@ PERTURBED_KEYS = (
     [("fusion", key) for key in ("w1", "w2", "khop", "topk_candidates", "final_k")]
     + [("clustering", key) for key in
        ("alpha", "tau", "max_passes", "min_community_size", "seed", "attribute_scope")]
-    + [("multihop", "hops"), ("stub_rules", "pattern")]
+    + [("multihop", "hops"), ("stub_rules", "pattern"), ("stub_rules", "relation")]
+    + [("clustering", "multihop"), ("clients", "chat_endpoint"), ("clients", "embed_model")]
 )
 VALUE_POOL = (None, -1, 0, 0.5, math.nan, math.inf, -math.inf, "x", "(", [1], {"a": 1}, True, 40)
 

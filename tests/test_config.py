@@ -125,11 +125,36 @@ def test_tau_out_of_range(tmp_path):
     ("indexing", "attribute_relations", {"DatedTo": ["era"]}, "indexing.attribute_relations"),
     ("indexing", "attribute_relations", ["DatedTo", "era"], "indexing.attribute_relations"),
     ("clustering", "attribute_scope", "2hop", "clustering.attribute_scope"),
+    ("clients", "chat_endpoint", 5, r"clients\.chat_endpoint must be null or a non-empty string, got 5"),
+    ("clients", "embed_endpoint", "", r"clients\.embed_endpoint must be null or a non-empty string"),
+    ("clients", "chat_model", 7, r"clients\.chat_model must be a string"),
+    ("clients", "mode", ["stub"], r"clients\.mode must be a string"),
+    ("stub_rules", "relation", ["DatedTo"], r"clients\.stub_rules\[0\]\.relation must be a string, got \['DatedTo'\]"),
+    ("stub_rules", "head_type", None, r"clients\.stub_rules\[0\]\.head_type must be a string"),
+    ("clustering", "multihop", {"root": "Sword of Goujian", "hops": 2},
+     r"clustering\.multihop must be a list of mappings, got \{"),
+    ("clients", "stub_rules", {"pattern": "(?P<head>x)(?P<tail>y)"},
+     r"clients\.stub_rules must be a list of mappings, got \{"),
 ])
 def test_bad_value_rejected_at_load(tmp_path, section, key, value, message):
     path = rewrite(tmp_path, lambda raw: set_config_value(raw, section, key, value))
     with pytest.raises(ConfigError, match=message):
         load_config(path)
+
+
+def test_missing_stub_rule_field_names_the_key(tmp_path):
+    path = rewrite(tmp_path, lambda raw: raw["clients"]["stub_rules"][0].pop("tail_type"))
+    with pytest.raises(ConfigError, match=r"clients\.stub_rules\[0\]\.tail_type is missing"):
+        load_config(path)
+
+
+def test_null_endpoints_load_as_unset(tmp_path):
+    def mutate(raw):
+        raw["clients"].update(chat_endpoint=None, embed_endpoint="http://localhost:1/v1")
+    cfg = load_config(rewrite(tmp_path, mutate))
+    assert cfg.clients.chat_endpoint is None
+    assert cfg.clients.embed_endpoint == "http://localhost:1/v1"
+    assert cfg.clients.rerank_endpoint is None
 
 
 def _bench_config(tmp_path) -> Path:

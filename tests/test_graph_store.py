@@ -138,8 +138,8 @@ class TestNeighborhood:
 
 
 def round_trip(graph: KnowledgeGraph) -> KnowledgeGraph:
-    """Write a graph to its two files and load it back."""
-    return load_chunks(save_chunks(graph), into=load_graph(save_graph(graph)))
+    """Write a graph to its three files and load it back."""
+    return load_chunks(*save_chunks(graph), into=load_graph(save_graph(graph)))
 
 
 class TestSerialization:
@@ -159,6 +159,9 @@ class TestSerialization:
         # json leaves U+0085 and U+2028 unescaped; they must not end a line
         g = small_graph()
         g.add_chunk(Chunk(id="e@00000000", document_id="e", text="a\u2028b\x85c\u2029d", char_offset=0))
+        record, text = save_chunks(g)
+        assert "a\u2028b\x85c\u2029d".encode("utf-8") in text
+        assert len(record.splitlines()) == 2
         again = round_trip(g)
         assert again.chunk("e@00000000").text == "a\u2028b\x85c\u2029d"
         assert oracles.structurally_equal(again, g)
@@ -167,20 +170,43 @@ class TestSerialization:
         g = small_graph()
         bare = load_graph(save_graph(g))
         assert bare.chunk_count == 0
-        load_chunks(save_chunks(g), into=bare)
+        load_chunks(*save_chunks(g), into=bare)
         assert bare.chunk_count == 1
         assert bare.chunk("d@00000000").text == "Sword in Museum."
 
     def test_chunks_file_rejects_graph_records(self):
         g = small_graph()
-        with pytest.raises(GraphFormatError, match="chunk"):
-            load_chunks(save_graph(g), into=KnowledgeGraph())
+        with pytest.raises(GraphFormatError, match=r"chunks\.jsonl"):
+            load_chunks(save_graph(g), b"", into=KnowledgeGraph())
 
     def test_graph_file_rejects_chunk_records(self):
-        chunk_line = save_chunks(small_graph()).splitlines(keepends=True)[1]
+        chunk_line = save_chunks(small_graph())[0].splitlines(keepends=True)[1]
         data = save_graph(small_graph()) + chunk_line
-        with pytest.raises(GraphFormatError, match=r"graph\.jsonl:7: .*'chunk'"):
+        with pytest.raises(GraphFormatError, match=r"graph\.jsonl:7: .*'chunks'"):
             load_graph(data)
+
+    def test_loaded_chunks_answer_from_the_columns(self):
+        g = KnowledgeGraph()
+        # id order ("a-b@..." < "a@...") differs from (document, offset) order
+        for doc, offset, text in [("a", 0, "first"), ("a", 5, ""), ("a-b", 0, "caf\u00e9"), ("b", 3, "last")]:
+            g.add_chunk(Chunk(id=make_chunk_id(doc, offset), document_id=doc, text=text, char_offset=offset))
+        again = round_trip(g)
+        assert again.chunk_ids() == g.chunk_ids() == sorted(g.chunk_ids())
+        assert again.chunk_count == 4
+        assert [again.chunk(cid) for cid in again.chunk_ids()] == list(g.chunks())
+        assert again.chunk("a@00000005").text == ""
+        for absent in ("", "a", "a@00000001", "zzz"):
+            assert not again.has_chunk(absent)
+            with pytest.raises(KeyError, match="no chunk"):
+                again.chunk(absent)
+        assert not again.has_chunk(5)
+
+    def test_no_chunks_round_trip(self):
+        g = KnowledgeGraph()
+        record, text = save_chunks(g)
+        assert text == b""
+        again = round_trip(g)
+        assert again.chunk_count == 0 and again.chunk_ids() == [] and list(again.chunks()) == []
 
     def test_missing_meta(self):
         data = save_graph(small_graph()).decode().splitlines()

@@ -105,12 +105,12 @@ class TestBuildIndex:
     def test_artifacts_and_manifest(self, museum_cfg, tmp_path):
         out = tmp_path / "idx"
         build_index(museum_cfg, index_dir=out)
-        for name in ("graph.jsonl", "chunks.jsonl", "embeddings.npy", "manifest.json"):
+        for name in ("graph.jsonl", "chunks.jsonl", "chunks.txt", "embeddings.npy", "manifest.json"):
             assert (out / name).exists(), name
         manifest = read_manifest(out)
         assert manifest["counts"] == {"documents": 5, "chunks": 5, "nodes": 10, "edges": 15}
         assert set(manifest) == {"format_version", "created_at", "schema_version", "ablate", "counts", "artifacts"}
-        assert set(manifest["artifacts"]) == {"graph.jsonl", "chunks.jsonl", "embeddings.npy"}
+        assert set(manifest["artifacts"]) == {"graph.jsonl", "chunks.jsonl", "chunks.txt", "embeddings.npy"}
         assert "clustered_from" not in manifest
 
     def test_refuses_overwrite_without_force(self, museum_cfg, tmp_path):
@@ -131,7 +131,7 @@ class TestBuildIndex:
         assert not (out / "reports.jsonl").exists()
         assert not (out / "eval_report.json").exists()
         manifest = read_manifest(out)
-        assert set(manifest["artifacts"]) == {"graph.jsonl", "chunks.jsonl", "embeddings.npy"}
+        assert set(manifest["artifacts"]) == {"graph.jsonl", "chunks.jsonl", "chunks.txt", "embeddings.npy"}
         assert "clustered_from" not in manifest
 
     def test_failed_build_writes_nothing(self, museum_fixture, tmp_path):
@@ -151,6 +151,14 @@ class TestBuildIndex:
         graph_path = out / "graph.jsonl"
         graph_path.write_text(graph_path.read_text() + "\n")
         with pytest.raises(GraphFormatError, match="digest"):
+            load_index_graph(out)
+
+    def test_tampered_chunk_text_detected(self, museum_cfg, tmp_path):
+        out = tmp_path / "idx"
+        build_index(museum_cfg, index_dir=out)
+        path = out / "chunks.txt"
+        path.write_bytes(path.read_bytes().replace(b"a", b"e", 1))
+        with pytest.raises(GraphFormatError, match=r"chunks\.txt: content does not match the manifest digest"):
             load_index_graph(out)
 
     def test_load_round_trip(self, museum_cfg, tmp_path):
@@ -255,6 +263,76 @@ class TestArtifactFormat:
         response = run_retrieve(museum_cfg, "warring states bronze", index_dir=out)
         assert response.results
         assert all(r.s_comm == 0.0 and r.provenance["communities"] == [] for r in response.results)
+
+
+def _chunk_text(change):
+    """A corruption of chunks.txt alone: ``change`` maps its bytes."""
+    return lambda record, data: (record, change(data))
+
+
+def _chunk_column(change):
+    """A corruption of the chunks record alone: ``change`` edits it in place."""
+    def corrupt(record, data):
+        change(record)
+        return record, data
+    return corrupt
+
+
+def _swap(column, i, j):
+    column[i], column[j] = column[j], column[i]
+
+
+# Ways to break the chunk columns or their text, each with the file its
+# error must name.
+CHUNK_CORRUPTIONS = {
+    "text-not-utf8": ("chunks.txt", _chunk_text(lambda data: data[:-1] + b"\xff")),
+    "text-one-short": ("chunks.txt", _chunk_text(lambda data: data.decode("utf-8")[:-1].encode("utf-8"))),
+    "text-one-long": ("chunks.txt", _chunk_text(lambda data: data + b"x")),
+    "duplicate-id": ("chunks.jsonl:2", _chunk_column(lambda r: r["id"].__setitem__(1, r["id"][0]))),
+    "unsorted-ids": ("chunks.jsonl:2", _chunk_column(lambda r: _swap(r["id"], 0, 1))),
+    "unequal-columns": ("chunks.jsonl:2", _chunk_column(lambda r: r["document_id"].pop())),
+    "bool-offset": ("chunks.jsonl:2", _chunk_column(lambda r: r["char_offset"].__setitem__(0, True))),
+    "decreasing-text-end": ("chunks.jsonl:2", _chunk_column(lambda r: _swap(r["text_end"], 0, 1))),
+    "string-text-end": ("chunks.jsonl:2", _chunk_column(lambda r: r["text_end"].__setitem__(0, "9"))),
+}
+
+
+class TestChunkColumns:
+    """chunks.jsonl is a meta record and one record of four columns, whose
+    text_end cuts chunks.txt. With both digests dropped, each way of breaking
+    the pair is a GraphFormatError naming the file it broke."""
+
+    @pytest.mark.parametrize("case", sorted(CHUNK_CORRUPTIONS))
+    def test_corrupt_chunks_are_rejected(self, museum_cfg, museum_index, tmp_path, case):
+        out = tmp_path / "idx"
+        shutil.copytree(museum_index, out)
+        drop_digests(out, "chunks.jsonl", "chunks.txt")
+        meta, record = (out / "chunks.jsonl").read_text("utf-8").splitlines()
+        blamed, corrupt = CHUNK_CORRUPTIONS[case]
+        record, data = corrupt(json.loads(record), (out / "chunks.txt").read_bytes())
+        (out / "chunks.jsonl").write_text(meta + "\n" + json.dumps(record) + "\n", "utf-8")
+        (out / "chunks.txt").write_bytes(data)
+        with pytest.raises(GraphFormatError, match=re.escape(blamed)) as info:
+            load_bundle(museum_cfg, out)
+        assert "digest" not in str(info.value)
+
+    def test_one_record_of_columns(self, museum_index):
+        meta, record = map(json.loads, (museum_index / "chunks.jsonl").read_text("utf-8").splitlines())
+        assert meta == {"kind": "meta", "format_version": 3, "schema_version": "museum-1", "count": 5}
+        assert sorted(record) == ["char_offset", "document_id", "id", "kind", "text_end"]
+        assert record["id"] == sorted(record["id"]) and len(set(record["id"])) == 5
+        text = (museum_index / "chunks.txt").read_bytes().decode("utf-8")
+        assert record["text_end"][-1] == len(text)
+
+
+def test_every_artifact_is_digest_bound(museum_index):
+    """Every file build_index and run_clustering leave in the index is bound
+    by a manifest digest, so none can skip the check at load."""
+    manifest = read_manifest(museum_index)
+    files = {p.name for p in museum_index.iterdir() if p.is_file()} - {"manifest.json"}
+    assert files == set(manifest["artifacts"])
+    for name in files:
+        assert manifest["artifacts"][name] == hashlib.sha256((museum_index / name).read_bytes()).hexdigest()
 
 
 class TestEmbeddingsMatrix:
