@@ -116,6 +116,9 @@ class ChunkColumns:
             char_offset=self.char_offsets[row],
         )
 
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.ids)
+
     def __len__(self) -> int:
         return len(self.ids)
 
@@ -346,8 +349,6 @@ class KnowledgeGraph:
         return chunk_id in self._chunks
 
     def chunk_ids(self) -> list[str]:
-        if isinstance(self._chunks, ChunkColumns):
-            return list(self._chunks.ids)  # stored in id order
         return sorted(self._chunks)
 
     def chunks(self) -> Iterator[Chunk]:

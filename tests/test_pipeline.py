@@ -511,7 +511,7 @@ class TestAtomicWrites:
     artifact whole (its old or its new bytes); the index then loads as
     before or is rejected with GraphFormatError."""
 
-    REPLACES = {"index": 4, "cluster": 3, "eval": 2}
+    REPLACES = {"index": 5, "cluster": 3, "eval": 2}
 
     @staticmethod
     def rerun(stage, cfg, fixture, out, tmp_path):
@@ -560,6 +560,7 @@ class TestAtomicWrites:
             load_index_graph(out) if stage == "index" else load_bundle(museum_cfg, out)
         except GraphFormatError:
             return
-        for name in ("graph.jsonl", "chunks.jsonl", "embeddings.npy", "communities.jsonl", "reports.jsonl"):
+        artifacts = ("graph.jsonl", "chunks.jsonl", "chunks.txt", "embeddings.npy", "communities.jsonl", "reports.jsonl")
+        for name in artifacts:
             if (out / name).exists():
                 assert (out / name).read_bytes() == before[name], name
