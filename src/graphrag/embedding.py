@@ -99,15 +99,20 @@ class HashingEmbedder(EmbeddingClient):
             raise ValueError("embedding dimension must be positive")
         self.dim = dim
 
-    def _bucket(self, token: str) -> int:
-        return _token_hash(token) % self.dim
-
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
+        """Each text's token counts per bucket, from one ``np.bincount``.
+        Integer counts are exact in float64, so a vector equals the one a
+        per-token ``+= 1.0`` builds, bit for bit."""
         out = []
+        # token -> bucket for this call only; a long-lived map would grow
+        # with every query a warm process serves
+        buckets: dict[str, int] = {}
         for text in texts:
-            vec = np.zeros(self.dim, dtype=np.float64)
-            for token in tokenize(text):
-                vec[self._bucket(token)] += 1.0
+            tokens = tokenize(text)
+            for token in set(tokens).difference(buckets):
+                buckets[token] = _token_hash(token) % self.dim
+            ids = np.fromiter(map(buckets.__getitem__, tokens), dtype=np.intp, count=len(tokens))
+            vec = np.bincount(ids, minlength=self.dim).astype(np.float64)
             norm = float(np.linalg.norm(vec))
             if norm > 0.0:
                 vec /= norm

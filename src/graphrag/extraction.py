@@ -257,14 +257,16 @@ def extract_chunk(
     client: ChatClient,
     *,
     enforce_schema: bool = True,
+    prompt: str | None = None,
 ) -> list[ValidatedTriple]:
     """Run one chunk through the model and the schema filter.
 
-    An output with no parseable candidates, or whose candidates all fail
-    validation, yields an empty list (logged), not an error. Transport
-    failures propagate as ClientError.
+    ``prompt`` is ``schema_to_prompt(schema)`` when a caller rendered it
+    already; it is rendered here when omitted. An output with no parseable
+    candidates, or whose candidates all fail validation, yields an empty
+    list (logged), not an error. Transport failures propagate as ClientError.
     """
-    system = schema_to_prompt(schema)
+    system = schema_to_prompt(schema) if prompt is None else prompt
     output = client.complete(system, chunk.text, temperature=0.0)
     candidates, diagnostics = parse_triples(output, source_chunk=chunk.id)
     for d in diagnostics:
@@ -321,10 +323,14 @@ def index_corpus(
 
     results: dict[str, list[ValidatedTriple]] = {}
     failures: dict[str, str] = {}
+    prompt = schema_to_prompt(schema)
 
     def run(chunk: Chunk) -> tuple[str, list[ValidatedTriple] | None, str | None]:
         try:
-            return chunk.id, extract_chunk(chunk, schema, client, enforce_schema=cfg.enforce_schema), None
+            triples = extract_chunk(
+                chunk, schema, client, enforce_schema=cfg.enforce_schema, prompt=prompt
+            )
+            return chunk.id, triples, None
         except Exception as exc:  # client/transport faults; counted against the budget
             return chunk.id, None, f"{type(exc).__name__}: {exc}"
 

@@ -119,7 +119,17 @@ def read_corpus(path: Path) -> list[tuple[str, str]]:
             text = record.get("text") or record.get("body") or record.get("passage")
             if not doc_id or not isinstance(text, str) or not text.strip():
                 raise IndexingError(f"{path}: document {i} lacks an id or text field")
-            documents.append((str(doc_id), text))
+            doc_id = str(doc_id)
+            for name, value in (("id", doc_id), ("text", text)):
+                try:
+                    value.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    # a JSON escape such as "\ud800" decodes to a lone
+                    # surrogate, which no artifact can store as UTF-8
+                    raise IndexingError(
+                        f"{path}: document {i} {name} holds a lone surrogate at offset {exc.start}"
+                    ) from exc
+            documents.append((doc_id, text))
     else:
         raise ConfigError(f"corpus not found: {path}")
     if not documents:

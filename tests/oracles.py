@@ -8,9 +8,13 @@ package class it needs as an argument.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import re
 from collections import deque
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 Pair = tuple[int, int]
 
@@ -419,3 +423,23 @@ def cosine_ref(u: Sequence[float], v: Sequence[float]) -> float:
     if nu == 0.0 or nv == 0.0:
         return 0.0
     return dot / (nu * nv)
+
+
+# -- embedding ----------------------------------------------------------------------------
+
+
+def hashing_embed_ref(texts: Sequence[str], dim: int) -> list[np.ndarray]:
+    """The stub embedder one token at a time: each case-folded run of
+    letters and digits adds 1.0 to bucket ``int(sha1(token)[:8]) % dim``,
+    then the vector is divided by its L2 norm (a tokenless text stays zero)."""
+    out = []
+    for text in texts:
+        vec = np.zeros(dim, dtype=np.float64)
+        for token in re.findall(r"[^\W_]+", text.casefold()):
+            digest = hashlib.sha1(token.encode("utf-8")).digest()
+            vec[int.from_bytes(digest[:8], "big") % dim] += 1.0
+        norm = float(np.linalg.norm(vec))
+        if norm > 0.0:
+            vec /= norm
+        out.append(vec)
+    return out

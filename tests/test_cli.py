@@ -162,6 +162,23 @@ class TestIndexCommand:
         assert "Traceback" not in captured.err + captured.out
         assert not (workspace / "index" / "manifest.json").exists()
 
+    def test_lone_surrogate_in_corpus_is_a_clean_error(self, workspace, capsys):
+        docs = sorted((workspace / "corpus").iterdir())
+        records = [{"id": p.stem, "text": p.read_text("utf-8")} for p in docs]
+        records[0]["text"] += " \ud800"
+        corpus = workspace / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
+        cfg = workspace / "config.yaml"
+        raw = yaml.safe_load(cfg.read_text("utf-8"))
+        raw["corpus"] = "corpus.jsonl"
+        cfg.write_text(yaml.safe_dump(raw), "utf-8")
+        assert run(["index", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "corpus.jsonl: document 0" in lines[0], lines
+        assert "Traceback" not in captured.err + captured.out
+        assert not (workspace / "index" / "manifest.json").exists()
+
 
 class TestClusterCommand:
     def test_requires_index(self, workspace, capsys):

@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -69,6 +69,22 @@ class TestHashingEmbedder:
     def test_dim_validated(self):
         with pytest.raises(ValueError):
             HashingEmbedder(dim=0)
+
+    # letters (ASCII, accented, Greek, CJK), digits, underscores, punctuation
+    # and spaces, from a small alphabet so that tokens repeat
+    TEXTS = st.lists(st.text(alphabet="ab Z9_0.,!-\u00e9\u00c9\u03a3\u00df\u4e2d\n", max_size=40), max_size=6)
+
+    @given(texts=TEXTS, dim=st.sampled_from([1, 2, 7, 64, 256]))
+    @example(texts=["", "!!! ???", "a a a a", "x_1 x_1 __ 42", "Caf\u00e9 CAF\u00c9 \u03a3\u03c3"], dim=7)
+    @example(texts=[], dim=1)
+    def test_matches_per_token_oracle(self, texts, dim):
+        batch = HashingEmbedder(dim).embed(texts)
+        want = oracles.hashing_embed_ref(texts, dim)
+        assert len(batch) == len(want) == len(texts)
+        for got, ref, text in zip(batch, want, texts):
+            assert got.dtype == np.float64 and got.shape == (dim,)
+            assert got.tobytes() == ref.tobytes()
+            assert got.tobytes() == HashingEmbedder(dim).embed([text])[0].tobytes()
 
 
 class TestTokenOverlapReranker:

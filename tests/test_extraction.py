@@ -22,7 +22,7 @@ from graphrag.extraction import (
     parse_triples,
 )
 from graphrag.graph_store import Chunk, save_graph
-from graphrag.ontology import load_schema
+from graphrag.ontology import load_schema, schema_to_prompt
 
 SCHEMA = load_schema(json.dumps({
     "version": "x-1",
@@ -184,6 +184,18 @@ class _FailingClient(ChatClient):
         return self.inner.complete(system_prompt, user_prompt, temperature)
 
 
+class _RecordingClient(ChatClient):
+    """Records the system prompt of every call, then delegates."""
+
+    def __init__(self, inner: ChatClient):
+        self.inner = inner
+        self.system_prompts: list[str] = []
+
+    def complete(self, system_prompt: str, user_prompt: str, temperature: float = 0.0) -> str:
+        self.system_prompts.append(system_prompt)
+        return self.inner.complete(system_prompt, user_prompt, temperature)
+
+
 class TestIndexCorpus:
     DOCS = [
         ("d1", "Sword dates to the Han period."),
@@ -248,3 +260,20 @@ class TestIndexCorpus:
         )
         assert loose.edge_count == 1
         assert len(oracles.validate_graph(loose, SCHEMA)) > 0
+
+    @pytest.mark.parametrize("enforce_schema", [True, False])
+    def test_schema_prompt_rendered_once_per_corpus(self, monkeypatch, enforce_schema):
+        want = schema_to_prompt(SCHEMA)
+        rendered = []
+
+        def counting_render(schema):
+            rendered.append(schema)
+            return schema_to_prompt(schema)
+
+        monkeypatch.setattr("graphrag.extraction.schema_to_prompt", counting_render)
+        client = _RecordingClient(self.client())
+        cfg = IndexingConfig(max_workers=2, enforce_schema=enforce_schema)
+        g = index_corpus(self.DOCS, SCHEMA, client, cfg)
+        assert rendered == [SCHEMA]
+        assert client.system_prompts == [want] * len(self.DOCS)
+        assert g.edge_count == 3

@@ -87,6 +87,20 @@ class TestReadCorpus:
         with pytest.raises(IndexingError, match=re.escape(str(tmp_path / "b.txt"))):
             read_corpus(tmp_path)
 
+    @pytest.mark.parametrize("suffix", [".json", ".jsonl"])
+    @pytest.mark.parametrize("field", ["id", "text"])
+    def test_lone_surrogate_names_file_and_document(self, tmp_path, suffix, field):
+        records = [{"id": "d1", "text": "one"}, {"id": "d2", "text": "two"}]
+        records[1][field] += "\ud800"
+        path = tmp_path / f"corpus{suffix}"
+        if suffix == ".json":
+            path.write_text(json.dumps(records), "utf-8")
+        else:
+            path.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
+        assert "\\ud800" in path.read_text("utf-8")
+        with pytest.raises(IndexingError, match=re.escape(f"{path}: document 1 {field} ")):
+            read_corpus(path)
+
     def test_empty_rejected(self, tmp_path):
         (tmp_path / "corpus.json").write_text("[]")
         with pytest.raises(IndexingError):
