@@ -1,16 +1,18 @@
 """Tiny shared HTTP helper: JSON POST with bounded retries.
 
-Transport faults (connection errors, timeouts, 5xx) back off exponentially
-and retry; anything else fails immediately. Client errors never retry since
-the request itself is bad.
+Transport faults (connection errors, timeouts, 5xx, malformed HTTP) back off
+exponentially and retry; anything else fails immediately. Client errors never
+retry since the request itself is bad.
+
+The transport is the standard library's ``urllib.request``, imported on the
+first call, so a stub-mode process never loads an HTTP module.
 """
 
 from __future__ import annotations
 
+import json
 import logging
 import time
-
-import requests
 
 from .errors import ClientError
 
@@ -26,25 +28,41 @@ def post_json(
     max_attempts: int = 3,
     backoff: float = 0.5,
 ) -> dict:
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    data = json.dumps(payload, allow_nan=False).encode("utf-8")
     headers = {"Content-Type": "application/json"}
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
     last: Exception | None = None
     for attempt in range(max_attempts):
         try:
-            resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
-            if resp.status_code >= 500:
-                raise requests.HTTPError(f"server error {resp.status_code}", response=resp)
-            if resp.status_code >= 400:
-                raise ClientError(f"{url} rejected request: {resp.status_code} {resp.text[:200]}")
-            return resp.json()
-        except (requests.ConnectionError, requests.Timeout, requests.HTTPError) as exc:
+            request = urllib.request.Request(url, data=data, headers=headers, method="POST")
+            with urllib.request.urlopen(request, timeout=timeout) as resp:
+                raw = resp.read()
+        except urllib.error.HTTPError as exc:  # an OSError, so caught before OSError
+            with exc:
+                if exc.code < 500:  # a 4xx, or a 307/308 that urllib does not follow
+                    text = exc.read().decode("utf-8", "replace")
+                    raise ClientError(f"{url} rejected request: {exc.code} {text[:200]}") from exc
             last = exc
-            if attempt + 1 < max_attempts:
-                delay = backoff * (2 ** attempt)
-                log.warning("transport error on %s (attempt %d/%d): %s; retrying in %.1fs",
-                            url, attempt + 1, max_attempts, exc, delay)
-                time.sleep(delay)
-        except ValueError as exc:  # non-JSON body
-            raise ClientError(f"{url} returned a non-JSON body: {exc}") from exc
+        except (OSError, http.client.HTTPException) as exc:
+            last = exc
+        except ValueError as exc:  # a malformed URL or header
+            raise ClientError(f"cannot send a request to {url}: {exc}") from exc
+        else:
+            try:
+                body = json.loads(raw)
+            except ValueError as exc:  # includes a body that is not UTF-8
+                raise ClientError(f"{url} returned a non-JSON body: {exc}") from exc
+            if not isinstance(body, dict):
+                raise ClientError(f"{url} returned JSON that is not an object: {type(body).__name__}")
+            return body
+        if attempt + 1 < max_attempts:
+            delay = backoff * (2 ** attempt)
+            log.warning("transport error on %s (attempt %d/%d): %s; retrying in %.1fs",
+                        url, attempt + 1, max_attempts, last, delay)
+            time.sleep(delay)
     raise ClientError(f"{url} failed after {max_attempts} attempts: {last}")

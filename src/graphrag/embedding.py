@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import os
 from abc import ABC, abstractmethod
 from collections import Counter
@@ -32,6 +33,13 @@ EMBED_BATCH_SIZE = 64
 def _token_hash(token: str) -> int:
     """Stable 64-bit hash of a token: the first 8 bytes of its sha1."""
     return int.from_bytes(hashlib.sha1(token.encode("utf-8")).digest()[:8], "big")
+
+
+def _finite_numbers(values: object) -> bool:
+    """True for a JSON list of numbers, none of them a boolean or non-finite."""
+    return isinstance(values, list) and all(
+        type(v) is int or (type(v) is float and math.isfinite(v)) for v in values
+    )
 
 
 def cosine(u: Sequence[float], v: Sequence[float]) -> float:
@@ -242,14 +250,21 @@ class HttpEmbeddingClient(EmbeddingClient):
         )
         try:
             rows = sorted(body["data"], key=lambda r: r["index"])
-            vectors = [np.asarray(r["embedding"], dtype=np.float64) for r in rows]
+            indices = [r["index"] for r in rows]
+            embeddings = [r["embedding"] for r in rows]
         except (KeyError, TypeError) as exc:
             raise ClientError(f"malformed embeddings response: {exc}") from exc
-        if len(vectors) != len(texts):
-            raise ClientError(f"asked for {len(texts)} embeddings, got {len(vectors)}")
-        for vec in vectors:
-            if vec.shape != (self.dim,):
-                raise ClientError(f"endpoint returned dimension {vec.shape[0]}, expected {self.dim}")
+        if len(embeddings) != len(texts):
+            raise ClientError(f"asked for {len(texts)} embeddings, got {len(embeddings)}")
+        if indices != list(range(len(texts))):
+            raise ClientError(f"embeddings response has indices {indices}, expected 0 to {len(texts) - 1}")
+        vectors = []
+        for embedding in embeddings:
+            if not _finite_numbers(embedding):
+                raise ClientError("endpoint returned an embedding that is not a list of finite numbers")
+            if len(embedding) != self.dim:
+                raise ClientError(f"endpoint returned dimension {len(embedding)}, expected {self.dim}")
+            vectors.append(np.asarray(embedding, dtype=np.float64))
         return vectors
 
 
@@ -278,4 +293,6 @@ class HttpRerankClient(RerankClient):
         scores = body.get("scores")
         if not isinstance(scores, list) or len(scores) != len(passages):
             raise ClientError("rerank endpoint returned a malformed scores list")
+        if not _finite_numbers(scores):
+            raise ClientError("rerank endpoint returned a score that is not a finite number")
         return [float(s) for s in scores]

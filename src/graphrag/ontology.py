@@ -99,6 +99,15 @@ class ValidatedTriple(CandidateTriple):
     normalized_probability: float = 0.0
 
 
+def _require_utf8(value: str, field: str) -> None:
+    # a JSON escape such as "\ud800" decodes to a lone surrogate, which
+    # neither the prompt nor any artifact can encode as UTF-8
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise SchemaError(f"{field} holds a lone surrogate at offset {exc.start}") from exc
+
+
 def load_schema(serialized: bytes) -> OntologySchema:
     """Parse and validate a schema file (JSON).
 
@@ -122,6 +131,7 @@ def load_schema(serialized: bytes) -> OntologySchema:
     version = raw["version"]
     if not isinstance(version, str) or not version:
         raise SchemaError("version must be a non-empty string")
+    _require_utf8(version, "version")
 
     if not isinstance(raw["entity_types"], list) or not raw["entity_types"]:
         raise SchemaError("entity_types must be a non-empty list")
@@ -140,6 +150,7 @@ def load_schema(serialized: bytes) -> OntologySchema:
         name = item.get("name")
         if not isinstance(name, str) or not collapse_ws(name):
             raise SchemaError(f"entity_types[{i}] needs a non-empty name")
+        _require_utf8(name, f"entity_types[{i}].name")
         name = collapse_ws(name)
         if name.casefold() in seen_types:
             raise SchemaError(f"duplicate entity type {name!r}")
@@ -149,6 +160,7 @@ def load_schema(serialized: bytes) -> OntologySchema:
         if desc is not None:
             if not isinstance(desc, str):
                 raise SchemaError(f"entity_types[{i}].description must be a string")
+            _require_utf8(desc, f"entity_types[{i}].description")
             if desc.strip():
                 entity_descriptions[name] = desc.strip()
 
@@ -164,6 +176,7 @@ def load_schema(serialized: bytes) -> OntologySchema:
         name = item.get("name")
         if not isinstance(name, str) or not collapse_ws(name):
             raise SchemaError(f"relations[{i}] needs a non-empty name")
+        _require_utf8(name, f"relations[{i}].name")
         name = collapse_ws(name)
         if name.casefold() in constraints:
             raise SchemaError(f"duplicate relation {name!r}")
@@ -187,6 +200,7 @@ def load_schema(serialized: bytes) -> OntologySchema:
         if desc is not None:
             if not isinstance(desc, str):
                 raise SchemaError(f"relations[{i}].description must be a string")
+            _require_utf8(desc, f"relations[{i}].description")
             if desc.strip():
                 relation_descriptions[name] = desc.strip()
 

@@ -1,12 +1,16 @@
-"""Shared fixtures: the museum corpus pipeline (built once per session) and
-random graph builders used by the oracle comparison suites."""
+"""Shared fixtures: the museum corpus pipeline (built once per session),
+random graph builders used by the oracle comparison suites, and a loopback
+HTTP server for the http-mode clients."""
 
 from __future__ import annotations
 
 import io
 import json
+import os
 import pickle
 import random
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +48,52 @@ def museum_index(museum_cfg: PipelineConfig, tmp_path_factory) -> Path:
     build_index(museum_cfg, index_dir=out)
     run_clustering(museum_cfg, index_dir=out)
     return out
+
+
+@pytest.fixture()
+def loopback(monkeypatch):
+    """Start HTTP servers on 127.0.0.1: ``start(reply)`` serves every POST
+    with ``reply(path, body) -> (status, body bytes)`` and returns the base
+    URL and the list of ``(path, headers, body)`` it received. A 3xx reply
+    carries a ``Location`` back to the same path. The proxy variables are
+    cleared, so urllib connects directly."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    # urllib's default opener keeps the proxies it saw when first built
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    servers = []
+
+    def start(reply):
+        received = []
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                body = self.rfile.read(int(self.headers["Content-Length"]))
+                received.append((self.path, self.headers, body))
+                status, payload = reply(self.path, body)
+                self.send_response(status)
+                if 300 <= status < 400:
+                    self.send_header("Location", self.path)
+                self.send_header("Content-Length", str(len(payload)))
+                self.end_headers()
+                self.wfile.write(payload)
+
+            def log_message(self, *args):
+                pass
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        servers.append((server, thread))
+        return f"http://127.0.0.1:{server.server_port}", received
+
+    yield start
+    for server, thread in servers:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
 def set_config_value(raw: dict, section: str, key: str, value) -> None:

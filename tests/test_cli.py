@@ -70,6 +70,19 @@ class TestSchemaCheck:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_lone_surrogate_in_schema_is_a_clean_error(self, workspace, capsys):
+        path = workspace / "schema.json"
+        raw = json.loads(path.read_text("utf-8"))
+        raw["entity_types"].append({"name": "Odd\ud800"})
+        path.write_text(json.dumps(raw), "utf-8")  # ASCII: the surrogate stays a \u escape
+        code = run(["schema-check", "--config", workspace / "config.yaml"])
+        assert code == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        n = len(raw["entity_types"]) - 1
+        assert lines == [f"error: entity_types[{n}].name holds a lone surrogate at offset 3"], lines
+        assert captured.out == ""
+
 
 class TestIndexCommand:
     def test_builds_and_refuses_rebuild(self, workspace, capsys):
@@ -121,7 +134,7 @@ class TestIndexCommand:
 
     def test_non_string_endpoint_is_a_clean_error(self, workspace, capsys, monkeypatch):
         sent = []
-        monkeypatch.setattr("graphrag._http.requests.post", lambda *args, **kwargs: sent.append(args))
+        monkeypatch.setattr("urllib.request.urlopen", lambda *args, **kwargs: sent.append(args))
         cfg = workspace / "config.yaml"
         raw = yaml.safe_load(cfg.read_text("utf-8"))
         raw["clients"].update(mode="http", chat_endpoint=5)
@@ -132,6 +145,29 @@ class TestIndexCommand:
         assert len(lines) == 1 and lines[0].startswith("error:") and "clients.chat_endpoint" in lines[0], lines
         assert "Traceback" not in captured.err + captured.out
         assert sent == []
+        assert not (workspace / "index").exists()
+
+    @pytest.mark.parametrize("embedding", ["abc", [math.nan] * 64], ids=["string", "nan"])
+    def test_malformed_embeddings_response_is_a_clean_error(self, workspace, capsys, loopback, embedding):
+        def reply(path, body):
+            if path.endswith("/chat/completions"):
+                content = "(Sword of Goujian | Artifact | HousedIn | Hubei Provincial Museum | Museum | 1.0)"
+                return 200, json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+            texts = json.loads(body)["input"]
+            data = [{"index": i, "embedding": embedding} for i in range(len(texts))]
+            return 200, json.dumps({"data": data}).encode()  # NaN goes out as a bare NaN token
+
+        url, received = loopback(reply)
+        cfg = workspace / "config.yaml"
+        raw = yaml.safe_load(cfg.read_text("utf-8"))
+        raw["clients"].update(mode="http", chat_endpoint=url, embed_endpoint=url, rerank_endpoint=url)
+        cfg.write_text(yaml.safe_dump(raw), "utf-8")
+        assert run(["index", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "embedding" in lines[0], lines
+        assert "Traceback" not in captured.err + captured.out
+        assert [path for path, _, _ in received][-1] == "/embeddings"
         assert not (workspace / "index").exists()
 
     def test_failed_replace_is_a_clean_error(self, workspace, capsys, monkeypatch):

@@ -276,6 +276,37 @@ class TestHttpClients:
         with pytest.raises(ClientError, match="dimension"):
             client.embed(["text"])
 
+    @pytest.mark.parametrize("embedding", [
+        "abc", 5, True, None, [1.0, "2"], [1.0, None], [True, False], [[1.0, 0.0]],
+        [math.nan, 0.0], [math.inf, 0.0], [1.0, [0.0]],
+    ])
+    def test_embeddings_malformed_vector(self, monkeypatch, embedding):
+        monkeypatch.setattr(
+            "graphrag.embedding.post_json",
+            lambda url, payload, **kw: {"data": [{"index": 0, "embedding": embedding}]},
+        )
+        client = HttpEmbeddingClient(endpoint="http://svc", dim=2)
+        with pytest.raises(ClientError, match="embedding"):
+            client.embed(["text"])
+
+    @pytest.mark.parametrize("indices", [[0, 0], [1, 2], [0, 5]])
+    def test_embeddings_indices_must_cover_the_batch(self, monkeypatch, indices):
+        monkeypatch.setattr(
+            "graphrag.embedding.post_json",
+            lambda url, payload, **kw: {"data": [{"index": i, "embedding": [1.0, 0.0]} for i in indices]},
+        )
+        client = HttpEmbeddingClient(endpoint="http://svc", dim=2)
+        with pytest.raises(ClientError, match="indices"):
+            client.embed(["a", "b"])
+
+    def test_integer_embeddings_become_float64(self, monkeypatch):
+        monkeypatch.setattr(
+            "graphrag.embedding.post_json",
+            lambda url, payload, **kw: {"data": [{"index": 0, "embedding": [1, 0]}]},
+        )
+        [vec] = HttpEmbeddingClient(endpoint="http://svc", dim=2).embed(["text"])
+        assert vec.dtype == np.float64 and vec.tolist() == [1.0, 0.0]
+
     def test_embeddings_count_mismatch(self, monkeypatch):
         monkeypatch.setattr(
             "graphrag.embedding.post_json",
@@ -311,6 +342,13 @@ class TestHttpClients:
         monkeypatch.setattr("graphrag.embedding.post_json", lambda *a, **kw: {"scores": [0.5]})
         client = HttpRerankClient(endpoint="http://rerank")
         with pytest.raises(ClientError, match="malformed"):
+            client.score("q", ["p1", "p2"])
+
+    @pytest.mark.parametrize("scores", [["abc", 0.5], [None, 0.5], [True, 0.5], [math.inf, 0.5], [[0.5], 0.5]])
+    def test_rerank_non_numeric_scores(self, monkeypatch, scores):
+        monkeypatch.setattr("graphrag.embedding.post_json", lambda *a, **kw: {"scores": scores})
+        client = HttpRerankClient(endpoint="http://rerank")
+        with pytest.raises(ClientError, match="not a finite number"):
             client.score("q", ["p1", "p2"])
 
     def test_rerank_missing_endpoint(self, monkeypatch):

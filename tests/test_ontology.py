@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -98,6 +100,31 @@ class TestLoadSchema:
         )
         with pytest.raises(SchemaError, match="unknown keys"):
             load_schema(as_bytes(bad))
+
+
+    @pytest.mark.parametrize("field,path", [
+        ("version", ("version",)),
+        ("entity_types[0].name", ("entity_types", 0, "name")),
+        ("entity_types[1].description", ("entity_types", 1, "description")),
+        ("relations[2].name", ("relations", 2, "name")),
+        ("relations[1].description", ("relations", 1, "description")),
+    ])
+    def test_lone_surrogate_names_the_field(self, field, path):
+        bad = copy.deepcopy(MUSEUM)
+        *parents, key = path
+        target = bad
+        for step in parents:
+            target = target[step]
+        target[key] += "\ud800"
+        with pytest.raises(SchemaError, match=rf"^{re.escape(field)} holds a lone surrogate"):
+            load_schema(as_bytes(bad))
+
+    def test_lone_surrogate_in_a_domain_is_an_undeclared_type(self):
+        bad = copy.deepcopy(MUSEUM)
+        bad["relations"][0]["domain"] = ["Artifact\ud800"]
+        with pytest.raises(SchemaError, match="undeclared type") as info:
+            load_schema(as_bytes(bad))
+        str(info.value).encode("utf-8")  # the message itself prints
 
 
 class TestLookups:
