@@ -6,22 +6,27 @@ supporting (chunk, triple) observations. Degree, adjacency and total weight
 are exposed in undirected form for the community layer, with self-loops
 stored but excluded from those sums.
 
-On-disk format: the JSON-lines records of ``records``. ``graph.jsonl``
-holds a ``meta`` record, then ``node`` and ``edge`` records in that order;
-its loader fails closed on kinds that do not belong in the file,
-out-of-order sections, references to undefined nodes, and corrupt lines.
-The chunks are columns: ``chunks.jsonl`` holds a ``meta`` record with the
-chunk ``count``, then one ``chunks`` record of four parallel lists in
-ascending id order (``id``, ``document_id``, ``char_offset`` and
-``text_end``), and ``chunks.txt`` holds every chunk text joined in that
-order as UTF-8, chunk i ending at character ``text_end[i]``. A loaded graph
-answers from those columns and builds a ``Chunk`` only when one is asked
-for.
+On-disk format: the JSON-lines records of ``records``, stored as columns so
+a load parses a few lines rather than one per node, edge or chunk.
+``graph.jsonl`` holds a ``meta`` record carrying ``next_node_id`` and the
+``nodes`` and ``edges`` counts, then one ``nodes`` record of six parallel
+lists in strictly ascending id order (``id``, ``name``, ``entity_type``,
+``attributes``, ``source_chunks`` and ``aliases``), then one ``edges``
+record of five in strictly ascending (head, tail, relation) order
+(``head``, ``tail``, ``relation``, ``weight`` and ``source_chunks``).
+``chunks.jsonl`` holds a ``meta`` record with the chunk ``count``, then one
+``chunks`` record of four parallel lists in ascending id order (``id``,
+``document_id``, ``char_offset`` and ``text_end``), and ``chunks.txt``
+holds every chunk text joined in that order as UTF-8, chunk i ending at
+character ``text_end[i]``. Both loaders check every column in bulk and fail
+closed, naming the file, line and column; a loaded graph answers from the
+chunk columns and builds a ``Chunk`` only when one is asked for.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, islice
@@ -37,10 +42,6 @@ log = logging.getLogger(__name__)
 GRAPH_NAME = "graph.jsonl"
 CHUNKS_NAME = "chunks.jsonl"
 CHUNKS_TEXT_NAME = "chunks.txt"
-# the record kinds graph.jsonl holds after its meta record, in section order
-_SECTIONS = ("node", "edge")
-# the columns of the chunks record and the exact type of their elements
-_CHUNK_COLUMNS = (("id", str), ("document_id", str), ("char_offset", int), ("text_end", int))
 
 
 @dataclass
@@ -393,107 +394,175 @@ class KnowledgeGraph:
 # -- serialization -------------------------------------------------------------
 
 
-def node_record(node: GraphNode) -> dict:
-    return {
-        "kind": "node",
-        "id": node.id,
-        "name": node.name,
-        "entity_type": node.entity_type,
-        "attributes": {k: node.attributes[k] for k in sorted(node.attributes)},
-        "source_chunks": sorted(node.source_chunks),
-        "aliases": sorted(node.aliases),
-    }
+def _of_type(kind: type):
+    """A column check: every element is exactly a ``kind`` (no bool is an int)."""
+    return lambda column: set(map(type, column)) <= {kind}
 
 
-def edge_record(edge: GraphEdge) -> dict:
-    return {
-        "kind": "edge",
-        "head": edge.head,
-        "tail": edge.tail,
-        "relation": edge.relation,
-        "weight": edge.weight,
-        "source_chunks": sorted(edge.source_chunks),
-    }
+_ints, _strs, _floats, _lists, _dicts = map(_of_type, (int, str, float, list, dict))
+
+
+def _str_lists(column: list) -> bool:
+    return _lists(column) and _strs(chain.from_iterable(column))
+
+
+def _attribute_maps(column: list) -> bool:
+    # JSON object keys are always strings, so only the values need a check
+    return _dicts(column) and _str_lists([v for values in column for v in values.values()])
+
+
+def _weights(column: list) -> bool:
+    # NaN fails the comparison too
+    return _floats(column) and all(1.0 <= w < math.inf for w in column)
+
+
+# The sections of each columnar artifact, one record per section after the
+# meta record: (record kind, the meta field counting its rows, its columns).
+# Each column is (name, check over the whole column, what an element must be).
+_CHUNK_SECTIONS = (
+    ("chunks", "count", (
+        ("id", _strs, "a string"),
+        ("document_id", _strs, "a string"),
+        ("char_offset", _ints, "an integer"),
+        ("text_end", _ints, "an integer"),
+    )),
+)
+_GRAPH_SECTIONS = (
+    ("nodes", "nodes", (
+        ("id", _ints, "an integer"),
+        ("name", _strs, "a string"),
+        ("entity_type", _strs, "a string"),
+        ("attributes", _attribute_maps, "a map of strings to lists of strings"),
+        ("source_chunks", _str_lists, "a list of strings"),
+        ("aliases", _str_lists, "a list of strings"),
+    )),
+    ("edges", "edges", (
+        ("head", _ints, "an integer"),
+        ("tail", _ints, "an integer"),
+        ("relation", _strs, "a string"),
+        ("weight", _weights, "a finite float >= 1.0"),
+        ("source_chunks", _str_lists, "a list of strings"),
+    )),
+)
+
+
+def _read_columns(meta: dict, records: Iterator[dict], name: str, sections: tuple) -> list[list[list]]:
+    """The columns of each of ``sections``, read from ``records``, the
+    records after ``meta`` in artifact ``name``. Section i is the record on
+    line i + 2; each of its columns must be a list of the meta count's
+    elements that passes the column's check, and no record may follow the
+    last section."""
+    for _, count_key, _ in sections:
+        count = meta.get(count_key)
+        if type(count) is not int or count < 0:
+            raise GraphFormatError(f"{name}:1: meta {count_key} must be a non-negative integer, got {count!r}")
+    tables = []
+    for lineno, (kind, count_key, columns) in enumerate(sections, start=2):
+        where, count = f"{name}:{lineno}", meta[count_key]
+        record = next(records, None)
+        if record is None or record.get("kind") != kind:
+            found = "no record" if record is None else f"record kind {record.get('kind')!r}"
+            raise GraphFormatError(f"{where}: expected the {kind} record, found {found}")
+        table = []
+        for key, check, what in columns:
+            column = record.get(key)
+            if not isinstance(column, list):
+                raise GraphFormatError(f"{where}: column {key!r} is {'missing' if column is None else 'not a list'}")
+            if len(column) != count:
+                raise GraphFormatError(
+                    f"{where}: column {key!r} has {len(column)} elements, the meta {count_key} is {count}"
+                )
+            if not check(column):
+                raise GraphFormatError(f"{where}: column {key!r} holds a value that is not {what}")
+            table.append(column)
+        tables.append(table)
+    extra = next(records, None)
+    if extra is not None:
+        raise GraphFormatError(
+            f"{name}:{len(sections) + 2}: unexpected record kind {extra.get('kind')!r} "
+            f"after the {sections[-1][0]} record"
+        )
+    return tables
+
+
+def _ascending(values: list) -> bool:
+    return all(map(lt, values, islice(values, 1, None)))
 
 
 def save_graph(graph: KnowledgeGraph) -> bytes:
-    """Serialize the nodes and edges to ``graph.jsonl``'s format; the chunks
-    go to ``save_chunks``."""
-    meta = {"kind": "meta", "format_version": FORMAT_VERSION,
-            "schema_version": graph.schema_version, "next_node_id": graph._next_id}
-    return dump_jsonl(chain([meta], map(node_record, graph.nodes()), map(edge_record, graph.edges())))
+    """The bytes of ``graph.jsonl``: the meta record, then one ``nodes``
+    record and one ``edges`` record of columns. The chunks go to
+    ``save_chunks``."""
+    nodes, edges = list(graph.nodes()), list(graph.edges())
+    meta = {"kind": "meta", "format_version": FORMAT_VERSION, "schema_version": graph.schema_version,
+            "next_node_id": graph._next_id, "nodes": len(nodes), "edges": len(edges)}
+    node_columns = {
+        "kind": "nodes",
+        "id": [n.id for n in nodes],
+        "name": [n.name for n in nodes],
+        "entity_type": [n.entity_type for n in nodes],
+        "attributes": [n.attributes for n in nodes],
+        "source_chunks": [sorted(n.source_chunks) for n in nodes],
+        "aliases": [sorted(n.aliases) for n in nodes],
+    }
+    edge_columns = {
+        "kind": "edges",
+        "head": [e.head for e in edges],
+        "tail": [e.tail for e in edges],
+        "relation": [e.relation for e in edges],
+        "weight": [e.weight for e in edges],
+        "source_chunks": [sorted(e.source_chunks) for e in edges],
+    }
+    return dump_jsonl([meta, node_columns, edge_columns])
 
 
 def load_graph(data: bytes) -> KnowledgeGraph:
     """Build a graph from ``graph.jsonl`` (nodes and edges), failing closed.
 
-    Beyond the format checks of ``read_artifact`` this rejects: a repeated
-    meta, a kind the file does not hold, kinds out of section order, edges
-    naming undefined nodes, and duplicate ids.
+    Everything is checked before a node is built: a string schema version
+    and an integer ``next_node_id`` in the meta; the ``nodes`` and ``edges``
+    records on lines 2 and 3 and nothing after them; columns of the meta's
+    counts whose elements have exactly their types (ids and endpoints are
+    ints, never bools; every weight is a finite float of at least 1.0);
+    strictly ascending node ids and edge keys (head, tail, relation), so
+    none repeats; and edge endpoints that are defined nodes.
     """
     name = GRAPH_NAME
     meta, records = read_artifact(data, name)
-    graph = KnowledgeGraph()
-    try:
-        graph.schema_version = meta.get("schema_version", "")
-        graph._next_id = int(meta["next_node_id"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GraphFormatError(f"{name}:1: malformed meta record ({exc})") from exc
-    last_rank = 0
-    max_node_id = -1
-    for lineno, record in enumerate(records, start=2):
-        kind = record.get("kind")
-        try:
-            if kind == "meta":
-                raise GraphFormatError(f"{name}:{lineno}: repeated meta record")
-            if kind not in _SECTIONS:
-                raise GraphFormatError(f"{name}:{lineno}: unexpected record kind {kind!r}")
-            rank = _SECTIONS.index(kind)
-            if rank < last_rank:
-                raise GraphFormatError(f"{name}:{lineno}: {kind} record out of section order")
-            last_rank = rank
-            if kind == "node":
-                node_id = int(record["id"])
-                if node_id in graph._nodes:
-                    raise GraphFormatError(f"{name}:{lineno}: duplicate node id {node_id}")
-                node = GraphNode(
-                    id=node_id,
-                    name=str(record["name"]),
-                    entity_type=str(record["entity_type"]),
-                    attributes={k: list(v) for k, v in record["attributes"].items()},
-                    source_chunks=set(record["source_chunks"]),
-                    aliases=set(record["aliases"]),
-                )
-                graph._nodes[node_id] = node
-                graph._out.setdefault(node_id, [])
-                graph._in.setdefault(node_id, [])
-                canon = canonical_name(node.name)
-                graph._name_index.setdefault(canon, set()).add(node_id)
-                graph._key_index[(canon, node.entity_type.casefold())] = node_id
-                max_node_id = max(max_node_id, node_id)
-            else:  # edge
-                head, tail = int(record["head"]), int(record["tail"])
-                if head not in graph._nodes or tail not in graph._nodes:
-                    raise GraphFormatError(
-                        f"{name}:{lineno}: edge references undefined node "
-                        f"{head if head not in graph._nodes else tail}"
-                    )
-                key = (head, tail, str(record["relation"]))
-                if key in graph._edges:
-                    raise GraphFormatError(f"{name}:{lineno}: duplicate edge {key}")
-                edge = GraphEdge(
-                    head=head,
-                    tail=tail,
-                    relation=key[2],
-                    weight=float(record["weight"]),
-                    source_chunks=set(record["source_chunks"]),
-                )
-                graph._edges[key] = edge
-                graph._out[head].append(key)
-                graph._in[tail].append(key)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GraphFormatError(f"{name}:{lineno}: malformed {kind} record ({exc})") from exc
-    graph._next_id = max(graph._next_id, max_node_id + 1)
+    schema_version, next_id = meta.get("schema_version"), meta.get("next_node_id")
+    if type(schema_version) is not str:
+        raise GraphFormatError(f"{name}:1: meta schema_version must be a string, got {schema_version!r}")
+    if type(next_id) is not int or next_id < 0:
+        raise GraphFormatError(f"{name}:1: meta next_node_id must be a non-negative integer, got {next_id!r}")
+    nodes, edges = _read_columns(meta, records, name, _GRAPH_SECTIONS)
+    ids, names, entity_types, attributes, node_chunks, aliases = nodes
+    heads, tails, relations, weights, edge_chunks = edges
+    if not _ascending(ids):
+        raise GraphFormatError(f"{name}:2: column 'id' is not strictly ascending")
+    keys = list(zip(heads, tails, relations))
+    if not _ascending(keys):
+        raise GraphFormatError(f"{name}:3: columns 'head', 'tail', 'relation' are not strictly ascending")
+    defined = set(ids)
+    for key, column in (("head", heads), ("tail", tails)):
+        undefined = set(column) - defined
+        if undefined:
+            raise GraphFormatError(f"{name}:3: column {key!r} names undefined node {min(undefined)}")
+
+    graph = KnowledgeGraph(schema_version=schema_version)
+    graph._next_id = max(next_id, ids[-1] + 1 if ids else 0)
+    for node_id, node_name, entity_type, attrs, chunks, surfaces in zip(
+        ids, names, entity_types, attributes, node_chunks, aliases
+    ):
+        graph._nodes[node_id] = GraphNode(node_id, node_name, entity_type, attrs, set(chunks), set(surfaces))
+        canon = canonical_name(node_name)
+        graph._name_index.setdefault(canon, set()).add(node_id)
+        graph._key_index[(canon, entity_type.casefold())] = node_id
+    graph._out = {node_id: [] for node_id in ids}
+    graph._in = {node_id: [] for node_id in ids}
+    for key, weight, chunks in zip(keys, weights, edge_chunks):
+        graph._edges[key] = GraphEdge(key[0], key[1], key[2], weight, set(chunks))
+        graph._out[key[0]].append(key)
+        graph._in[key[1]].append(key)
     return graph
 
 
@@ -524,28 +593,9 @@ def load_chunks(data: bytes, text: bytes, into: KnowledgeGraph) -> KnowledgeGrap
     length of ``text``, which must be strict UTF-8.
     """
     meta, records = read_artifact(data, CHUNKS_NAME)
-    count = meta.get("count")
-    if type(count) is not int or count < 0:
-        raise GraphFormatError(f"{CHUNKS_NAME}:1: meta count must be a non-negative integer, got {count!r}")
-    record = next(records, None)
+    [(ids, document_ids, char_offsets, text_end)] = _read_columns(meta, records, CHUNKS_NAME, _CHUNK_SECTIONS)
     where = f"{CHUNKS_NAME}:2"
-    if record is None or record.get("kind") != "chunks":
-        found = "no record" if record is None else f"record kind {record.get('kind')!r}"
-        raise GraphFormatError(f"{where}: expected the chunks record, found {found}")
-    if next(records, None) is not None:
-        raise GraphFormatError(f"{CHUNKS_NAME}:3: unexpected record after the chunks record")
-    columns = []
-    for key, kind in _CHUNK_COLUMNS:
-        column = record.get(key)
-        if not isinstance(column, list):
-            raise GraphFormatError(f"{where}: column {key!r} is {'missing' if column is None else 'not a list'}")
-        if len(column) != count:
-            raise GraphFormatError(f"{where}: column {key!r} has {len(column)} elements, the meta count is {count}")
-        if not set(map(type, column)) <= {kind}:
-            raise GraphFormatError(f"{where}: column {key!r} holds a value whose type is not {kind.__name__}")
-        columns.append(column)
-    ids, document_ids, char_offsets, text_end = columns
-    if not all(map(lt, ids, islice(ids, 1, None))):
+    if not _ascending(ids):
         raise GraphFormatError(f"{where}: chunk ids are not strictly ascending")
     if not all(map(le, chain((0,), text_end), text_end)):
         raise GraphFormatError(f"{where}: text_end decreases or starts below 0")

@@ -43,6 +43,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -486,6 +487,20 @@ def run_clustering(
     return summary
 
 
+def _ints(values: list, field: str) -> list[int]:
+    """``values`` if it is a list of exact ints: JSON ``true`` or ``2.7`` is
+    refused, never rounded."""
+    if not isinstance(values, list):
+        raise TypeError(f"{field} is not a list")
+    if not set(map(type, values)) <= {int}:
+        raise ValueError(f"{field} holds {next(v for v in values if type(v) is not int)!r}, not an integer")
+    return values
+
+
+def _int(value: object, field: str) -> int:
+    return _ints([value], field)[0]
+
+
 def load_communities(index_dir: Path, manifest: dict) -> tuple[list[Community], dict[int, CommunityReport]]:
     """Read communities.jsonl and reports.jsonl back into their dataclasses.
     Each file must match its digest in ``manifest``, and the manifest must
@@ -507,14 +522,14 @@ def load_communities(index_dir: Path, manifest: dict) -> tuple[list[Community], 
         if record.get("kind") != "community":
             raise GraphFormatError(f"{COMMUNITIES_NAME}:{lineno}: unexpected record kind {record.get('kind')!r}")
         try:
+            internal_edges = tuple((h, t, str(rel)) for h, t, rel in record["internal_edges"])
+            _ints([n for edge in internal_edges for n in edge[:2]], "internal_edges")
             community = Community(
-                id=int(record["id"]),
+                id=_int(record["id"], "id"),
                 dimension=str(record["dimension"]),
-                members=frozenset(int(n) for n in record["members"]),
-                completed_members=frozenset(int(n) for n in record["completed_members"]),
-                internal_edges=tuple(
-                    (int(h), int(t), str(rel)) for h, t, rel in record["internal_edges"]
-                ),
+                members=frozenset(_ints(record["members"], "members")),
+                completed_members=frozenset(_ints(record["completed_members"], "completed_members")),
+                internal_edges=internal_edges,
                 label=str(record.get("label") or ""),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -529,18 +544,23 @@ def load_communities(index_dir: Path, manifest: dict) -> tuple[list[Community], 
         if record.get("kind") != "report":
             raise GraphFormatError(f"{REPORTS_NAME}:{lineno}: unexpected record kind {record.get('kind')!r}")
         try:
+            embedding = record["embedding"]
+            if not isinstance(embedding, list) or not set(map(type, embedding)) <= {float}:
+                raise ValueError("embedding is not a list of floats")
             report = CommunityReport(
-                community_id=int(record["community_id"]),
+                community_id=_int(record["community_id"], "community_id"),
                 title=str(record["title"]),
                 summary=str(record["summary"]),
                 dimension=str(record["dimension"]),
                 entities=tuple(record["entities"]),
                 relations=tuple(record["relations"]),
-                embedding=tuple(float(x) for x in record["embedding"]),
+                embedding=tuple(embedding),
                 source_chunks=tuple(record["source_chunks"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphFormatError(f"{REPORTS_NAME}:{lineno}: malformed report record ({exc})") from exc
+        if not all(map(math.isfinite, report.embedding)):
+            raise GraphFormatError(f"{REPORTS_NAME}:{lineno}: embedding holds a non-finite value")
         if len(report.embedding) != meta.get("dimension"):
             raise GraphFormatError(
                 f"{REPORTS_NAME}:{lineno}: embedding has {len(report.embedding)} dimensions, "

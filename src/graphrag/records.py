@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 
 from .errors import GraphFormatError
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
 

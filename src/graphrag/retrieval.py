@@ -51,60 +51,40 @@ class FusionConfig:
             raise ValueError("final_k cannot exceed topk_candidates")
 
 
-# -- entity trie ----------------------------------------------------------------
-
-
-class _TrieNode:
-    __slots__ = ("children", "ids")
-
-    def __init__(self):
-        self.children: dict[str, _TrieNode] = {}
-        self.ids: set[int] = set()
+# -- entity index ----------------------------------------------------------------
 
 
 class EntityTrie:
-    """Token-sequence prefix tree mapping entity surface forms to node ids."""
+    """Entity surface forms by token sequence: one dict from each form's
+    token tuple to the ids of the nodes it names, plus the token length of
+    the longest form. ``len()`` is the number of distinct forms."""
 
-    def __init__(self):
-        self._root = _TrieNode()
-        self._size = 0
-
-    def insert(self, tokens: list[str], node_id: int) -> None:
-        if not tokens:
-            return
-        node = self._root
-        for token in tokens:
-            node = node.children.setdefault(token, _TrieNode())
-        if not node.ids:
-            self._size += 1
-        node.ids.add(node_id)
+    def __init__(self, forms: dict[tuple[str, ...], frozenset[int]]):
+        self._forms = forms
+        self._longest = max(map(len, forms), default=0)
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._forms)
 
     def longest_match(self, tokens: list[str], start: int) -> tuple[int, frozenset[int]] | None:
         """Longest entity match beginning at ``start``; returns (end index,
-        node ids) or None. Prefers the deepest node that carries ids."""
-        node = self._root
-        best: tuple[int, frozenset[int]] | None = None
-        i = start
-        while i < len(tokens):
-            node = node.children.get(tokens[i])
-            if node is None:
-                break
-            i += 1
-            if node.ids:
-                best = (i, frozenset(node.ids))
-        return best
+        node ids) or None. Tries the longest possible span first."""
+        for end in range(min(len(tokens), start + self._longest), start, -1):
+            ids = self._forms.get(tuple(tokens[start:end]))
+            if ids is not None:
+                return end, ids
+        return None
 
 
 def build_trie(graph: KnowledgeGraph) -> EntityTrie:
     """Index every node name and alias by its token sequence."""
-    trie = EntityTrie()
+    forms: dict[tuple[str, ...], set[int]] = {}
     for node in graph.nodes():
-        for surface in sorted({node.name, *node.aliases}):
-            trie.insert(tokenize(surface), node.id)
-    return trie
+        for surface in {node.name, *node.aliases}:
+            tokens = tuple(tokenize(surface))
+            if tokens:
+                forms.setdefault(tokens, set()).add(node.id)
+    return EntityTrie({tokens: frozenset(ids) for tokens, ids in forms.items()})
 
 
 # -- query analysis ---------------------------------------------------------------

@@ -335,6 +335,68 @@ def reachable_by_simple_paths(
     return found
 
 
+# -- entity linking -----------------------------------------------------------------------
+
+
+class _TrieNodeRef:
+    def __init__(self):
+        self.children: dict[str, _TrieNodeRef] = {}
+        self.ids: set[int] = set()
+
+
+class EntityTrieRef:
+    """Token-sequence prefix tree mapping entity surface forms to node ids,
+    walked one token at a time."""
+
+    def __init__(self):
+        self._root = _TrieNodeRef()
+        self._size = 0
+
+    def insert(self, tokens: Sequence[str], node_id: int) -> None:
+        if not tokens:
+            return
+        node = self._root
+        for token in tokens:
+            node = node.children.setdefault(token, _TrieNodeRef())
+        if not node.ids:
+            self._size += 1
+        node.ids.add(node_id)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def longest_match(self, tokens: Sequence[str], start: int) -> tuple[int, frozenset[int]] | None:
+        """The deepest node carrying ids along the walk from ``start``."""
+        node = self._root
+        best = None
+        i = start
+        while i < len(tokens):
+            node = node.children.get(tokens[i])
+            if node is None:
+                break
+            i += 1
+            if node.ids:
+                best = (i, frozenset(node.ids))
+        return best
+
+
+def link_entities_ref(tokens: Sequence[str], trie: EntityTrieRef) -> list[tuple[int, tuple[int, int], float]]:
+    """Greedy left-to-right longest-match linking as (node id, span,
+    confidence), a shared form splitting its span's coverage equally."""
+    links = []
+    i = 0
+    while i < len(tokens):
+        match = trie.longest_match(tokens, i)
+        if match is None:
+            i += 1
+            continue
+        end, ids = match
+        for node_id in sorted(ids):
+            links.append((node_id, (i, end), (end - i) / len(tokens) / len(ids)))
+        i = end
+    return links
+
+
 # -- scoring ------------------------------------------------------------------------------
 
 

@@ -433,6 +433,63 @@ class TestRetrieveCommand:
         assert "Traceback" not in captured.err + captured.out
 
 
+    def test_format_3_index_is_a_clean_error(self, museum_index, tmp_path, capsys):
+        """An index in the third format, with one graph.jsonl record per node
+        and per edge, is refused with a hint to rebuild it."""
+        index = tmp_path / "index"
+        shutil.copytree(museum_index, index)
+        meta, nodes, edges = map(json.loads, (index / "graph.jsonl").read_text("utf-8").splitlines())
+        records = [{"kind": "meta", "format_version": 3, "schema_version": meta["schema_version"],
+                    "next_node_id": meta["next_node_id"]}]
+        for kind, columns in (("node", nodes), ("edge", edges)):
+            keys = [key for key in columns if key != "kind"]
+            records += [{"kind": kind, **dict(zip(keys, row))} for row in zip(*(columns[key] for key in keys))]
+        (index / "graph.jsonl").write_bytes("".join(json.dumps(r) + "\n" for r in records).encode("utf-8"))
+        for name in ("chunks.jsonl", "communities.jsonl", "reports.jsonl"):
+            lines = (index / name).read_text("utf-8").splitlines()
+            first = json.loads(lines[0])
+            (index / name).write_text("\n".join([json.dumps({**first, "format_version": 3}), *lines[1:]]) + "\n", "utf-8")
+        manifest = json.loads((index / "manifest.json").read_text("utf-8"))
+        manifest["format_version"] = 3
+        for name in manifest["artifacts"]:
+            manifest["artifacts"][name] = hashlib.sha256((index / name).read_bytes()).hexdigest()
+        manifest["clustered_from"] = manifest["artifacts"]["graph.jsonl"]
+        (index / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+        args = ["retrieve", "--config", MUSEUM / "config.yaml", "--index", index, "--query", "warring states"]
+        assert run(args) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "index format 3" in lines[0] and lines[0].endswith("rebuild with --force")
+        assert "Traceback" not in captured.err + captured.out
+
+    @pytest.mark.parametrize(
+        "name,line,edit,says",
+        [
+            ("graph.jsonl", 3, lambda r: r["weight"].__setitem__(0, math.nan), "column 'weight'"),
+            ("graph.jsonl", 2, lambda r: r["id"].__setitem__(1, True), "column 'id'"),
+            ("reports.jsonl", 2, lambda r: r["embedding"].__setitem__(0, math.nan), "non-finite"),
+        ],
+        ids=["graph-weight-nan", "graph-id-bool", "report-embedding-nan"],
+    )
+    def test_malformed_artifact_value_is_a_clean_error(self, museum_index, tmp_path, capsys, name, line, edit, says):
+        index = tmp_path / "index"
+        shutil.copytree(museum_index, index)
+        lines = (index / name).read_text("utf-8").splitlines()
+        record = json.loads(lines[line - 1])
+        edit(record)
+        lines[line - 1] = json.dumps(record)
+        (index / name).write_text("\n".join(lines) + "\n", "utf-8")
+        drop_digests(index, name)
+        args = ["retrieve", "--json", "--config", MUSEUM / "config.yaml", "--index", index, "--query", "warring states"]
+        assert run(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {name}:{line}: "), captured.err
+        assert says in lines[0]
+
+
 class TestEvalCommand:
     def test_full_run(self, workspace, capsys):
         cfg = workspace / "config.yaml"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import shutil
@@ -219,7 +220,7 @@ def _short_vector(lines):
 
 def _chunk_record(lines):
     # a chunk record whose id collides with a chunk of chunks.jsonl
-    chunk_id = next(c for line in lines[1:] for c in json.loads(line)["source_chunks"])
+    chunk_id = next(c for chunks in json.loads(lines[1])["source_chunks"] for c in chunks)
     record = {"kind": "chunk", "id": chunk_id, "document_id": "x", "char_offset": 1, "text": "x"}
     return [*lines, json.dumps(record)]
 
@@ -231,6 +232,21 @@ def _unknown_member(lines):
 
 
 ARTIFACTS = ["graph.jsonl", "chunks.jsonl", "communities.jsonl", "reports.jsonl"]
+
+# Values a cluster record must refuse rather than round or pass on: (file,
+# an edit of its first record, what the error must say after the line).
+CLUSTER_VALUES = {
+    "embedding-nan": ("reports.jsonl", lambda r: r["embedding"].__setitem__(1, math.nan), "non-finite"),
+    "embedding-infinite": ("reports.jsonl", lambda r: r["embedding"].__setitem__(0, -math.inf), "non-finite"),
+    "embedding-bool": ("reports.jsonl", lambda r: r["embedding"].__setitem__(0, True), "not a list of floats"),
+    "community-id-bool": ("reports.jsonl", lambda r: r.update(community_id=False), "community_id holds False"),
+    "id-float": ("communities.jsonl", lambda r: r.update(id=0.0), "id holds 0.0"),
+    "member-fraction": ("communities.jsonl", lambda r: r["members"].__setitem__(0, 2.7), "members holds 2.7"),
+    "completed-member-bool": ("communities.jsonl", lambda r: r["completed_members"].__setitem__(0, True),
+                              "completed_members holds True"),
+    "edge-end-float": ("communities.jsonl", lambda r: r["internal_edges"][0].__setitem__(1, 1.0),
+                       "internal_edges holds 1.0"),
+}
 
 
 class TestArtifactFormat:
@@ -264,6 +280,20 @@ class TestArtifactFormat:
             assert f"{name}:{len(lines) + 1}: " in str(info.value)
         if corrupt is _unknown_member:
             assert "9999" in str(info.value)
+
+    @pytest.mark.parametrize("case", sorted(CLUSTER_VALUES))
+    def test_cluster_values_are_strict(self, museum_cfg, museum_index, tmp_path, case):
+        name, edit, says = CLUSTER_VALUES[case]
+        out = tmp_path / "idx"
+        shutil.copytree(museum_index, out)
+        drop_digests(out, name)
+        meta, first, *rest = (out / name).read_text("utf-8").splitlines()
+        record = json.loads(first)
+        edit(record)
+        (out / name).write_text("\n".join([meta, json.dumps(record), *rest]) + "\n", "utf-8")
+        with pytest.raises(GraphFormatError, match=re.escape(f"{name}:2: ")) as info:
+            load_bundle(museum_cfg, out)
+        assert says in str(info.value)
 
     def test_index_without_communities_loads(self, museum_cfg, museum_index, tmp_path):
         out = tmp_path / "idx"
@@ -332,7 +362,7 @@ class TestChunkColumns:
 
     def test_one_record_of_columns(self, museum_index):
         meta, record = map(json.loads, (museum_index / "chunks.jsonl").read_text("utf-8").splitlines())
-        assert meta == {"kind": "meta", "format_version": 3, "schema_version": "museum-1", "count": 5}
+        assert meta == {"kind": "meta", "format_version": 4, "schema_version": "museum-1", "count": 5}
         assert sorted(record) == ["char_offset", "document_id", "id", "kind", "text_end"]
         assert record["id"] == sorted(record["id"]) and len(set(record["id"])) == 5
         text = (museum_index / "chunks.txt").read_bytes().decode("utf-8")

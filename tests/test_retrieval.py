@@ -31,6 +31,7 @@ from graphrag.retrieval import (
     score_community_channel,
     select_candidates,
 )
+from graphrag.textnorm import tokenize
 
 
 def make_analysis(links, beta=0.5) -> QueryAnalysis:
@@ -56,6 +57,28 @@ def make_result(chunk_id: str, fused: float) -> RetrievalResult:
         rerank_score=fused,
         provenance={},
     )
+
+
+# a small vocabulary, so that forms share prefixes and queries repeat tokens
+ENTITY_TOKENS = ["bronze", "sword", "of", "chu", "han"]
+
+
+@st.composite
+def entity_graphs(draw):
+    """Graphs whose names and aliases are short runs of ``ENTITY_TOKENS``,
+    written with varied separators and casing. Two entity types let one
+    surface form name several nodes; aliases are set directly, so an alias
+    can tokenize differently from its node's name."""
+    words = st.lists(st.sampled_from(ENTITY_TOKENS), min_size=1, max_size=4)
+    surfaces = st.builds(
+        lambda tokens, sep, upper: sep.join(tokens).upper() if upper else sep.join(tokens),
+        words, st.sampled_from([" ", "-", ", "]), st.booleans(),
+    )
+    g = KnowledgeGraph()
+    for _ in range(draw(st.integers(0, 8))):
+        node_id = g.upsert_node(draw(surfaces), draw(st.sampled_from(["Artifact", "Period"])))
+        g.node(node_id).aliases.update(draw(st.lists(surfaces, max_size=2)))
+    return g
 
 
 class TestEntityLinking:
@@ -87,6 +110,18 @@ class TestEntityLinking:
 
     def test_no_matches(self):
         assert link_entities("nothing here", build_trie(KnowledgeGraph())) == []
+
+    @given(entity_graphs(), st.lists(st.sampled_from(ENTITY_TOKENS + ["zz"]), max_size=10))
+    def test_matches_prefix_tree_reference(self, graph, query_tokens):
+        ref = oracles.EntityTrieRef()
+        for node in graph.nodes():
+            for surface in {node.name, *node.aliases}:
+                ref.insert(tokenize(surface), node.id)
+        trie = build_trie(graph)
+        assert len(trie) == len(ref)
+        query = " ".join(query_tokens)
+        got = [(link.node_id, link.span, link.confidence) for link in link_entities(query, trie)]
+        assert got == oracles.link_entities_ref(tokenize(query), ref)
 
 
 class TestFusionWeight:
