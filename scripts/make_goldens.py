@@ -98,7 +98,7 @@ def main() -> int:
     response = run_retrieve(cfg, WS_QUERY, index_dir=index_dir)
 
     graph, final_manifest = load_index_graph(index_dir)
-    communities, _reports = load_communities(index_dir, final_manifest)
+    communities, _ = load_communities(index_dir, final_manifest)
     topology = [c for c in communities if c.dimension == "topology"]
     assignment = {
         node: community.id

@@ -6,21 +6,23 @@ supporting (chunk, triple) observations. Degree, adjacency and total weight
 are exposed in undirected form for the community layer, with self-loops
 stored but excluded from those sums.
 
-On-disk format: the JSON-lines records of ``records``, stored as columns so
-a load parses a few lines rather than one per node, edge or chunk.
-``graph.jsonl`` holds a ``meta`` record carrying ``next_node_id`` and the
-``nodes`` and ``edges`` counts, then one ``nodes`` record of six parallel
-lists in strictly ascending id order (``id``, ``name``, ``entity_type``,
-``attributes``, ``source_chunks`` and ``aliases``), then one ``edges``
-record of five in strictly ascending (head, tail, relation) order
-(``head``, ``tail``, ``relation``, ``weight`` and ``source_chunks``).
+On-disk format: the column records of ``records``, so a load parses a few
+lines rather than one per node, edge or chunk. ``graph.jsonl`` holds a
+``meta`` record carrying ``next_node_id`` and the ``nodes`` and ``edges``
+counts, then one ``nodes`` record of six parallel lists in strictly
+ascending id order (``id``, ``name``, ``entity_type``, ``attributes``,
+``source_chunks`` and ``aliases``), then one ``edges`` record of five in
+strictly ascending (head, tail, relation) order (``head``, ``tail``,
+``relation``, ``weight`` and ``source_chunks``).
 ``chunks.jsonl`` holds a ``meta`` record with the chunk ``count``, then one
 ``chunks`` record of four parallel lists in ascending id order (``id``,
 ``document_id``, ``char_offset`` and ``text_end``), and ``chunks.txt``
 holds every chunk text joined in that order as UTF-8, chunk i ending at
-character ``text_end[i]``. Both loaders check every column in bulk and fail
-closed, naming the file, line and column; a loaded graph answers from the
-chunk columns and builds a ``Chunk`` only when one is asked for.
+character ``text_end[i]``. Both loaders read through
+``records.read_columns``, which checks every column's length and element
+types in bulk; they add the checks that span columns (order, endpoints,
+text ends). A loaded graph answers from the chunk columns and builds a
+``Chunk`` only when one is asked for.
 """
 
 from __future__ import annotations
@@ -29,12 +31,14 @@ import logging
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, islice
-from operator import le, lt
+from itertools import accumulate, chain
+from operator import le
 from typing import Iterable, Iterator, Mapping
 
 from .errors import GraphFormatError, UnknownNodeError
-from .records import FORMAT_VERSION, dump_jsonl, read_artifact
+from .records import (
+    FORMAT_VERSION, ascending, dicts, dump_jsonl, floats, ints, meta_int, read_columns, str_lists, strs,
+)
 from .textnorm import canonical_name, collapse_ws
 
 log = logging.getLogger(__name__)
@@ -394,99 +398,42 @@ class KnowledgeGraph:
 # -- serialization -------------------------------------------------------------
 
 
-def _of_type(kind: type):
-    """A column check: every element is exactly a ``kind`` (no bool is an int)."""
-    return lambda column: set(map(type, column)) <= {kind}
-
-
-_ints, _strs, _floats, _lists, _dicts = map(_of_type, (int, str, float, list, dict))
-
-
-def _str_lists(column: list) -> bool:
-    return _lists(column) and _strs(chain.from_iterable(column))
-
-
 def _attribute_maps(column: list) -> bool:
     # JSON object keys are always strings, so only the values need a check
-    return _dicts(column) and _str_lists([v for values in column for v in values.values()])
+    return dicts(column) and str_lists([v for values in column for v in values.values()])
 
 
 def _weights(column: list) -> bool:
     # NaN fails the comparison too
-    return _floats(column) and all(1.0 <= w < math.inf for w in column)
+    return floats(column) and all(1.0 <= w < math.inf for w in column)
 
 
-# The sections of each columnar artifact, one record per section after the
-# meta record: (record kind, the meta field counting its rows, its columns).
-# Each column is (name, check over the whole column, what an element must be).
+# The sections of each artifact for ``records.read_columns``.
 _CHUNK_SECTIONS = (
     ("chunks", "count", (
-        ("id", _strs, "a string"),
-        ("document_id", _strs, "a string"),
-        ("char_offset", _ints, "an integer"),
-        ("text_end", _ints, "an integer"),
+        ("id", strs, "a string"),
+        ("document_id", strs, "a string"),
+        ("char_offset", ints, "an integer"),
+        ("text_end", ints, "an integer"),
     )),
 )
 _GRAPH_SECTIONS = (
     ("nodes", "nodes", (
-        ("id", _ints, "an integer"),
-        ("name", _strs, "a string"),
-        ("entity_type", _strs, "a string"),
+        ("id", ints, "an integer"),
+        ("name", strs, "a string"),
+        ("entity_type", strs, "a string"),
         ("attributes", _attribute_maps, "a map of strings to lists of strings"),
-        ("source_chunks", _str_lists, "a list of strings"),
-        ("aliases", _str_lists, "a list of strings"),
+        ("source_chunks", str_lists, "a list of strings"),
+        ("aliases", str_lists, "a list of strings"),
     )),
     ("edges", "edges", (
-        ("head", _ints, "an integer"),
-        ("tail", _ints, "an integer"),
-        ("relation", _strs, "a string"),
+        ("head", ints, "an integer"),
+        ("tail", ints, "an integer"),
+        ("relation", strs, "a string"),
         ("weight", _weights, "a finite float >= 1.0"),
-        ("source_chunks", _str_lists, "a list of strings"),
+        ("source_chunks", str_lists, "a list of strings"),
     )),
 )
-
-
-def _read_columns(meta: dict, records: Iterator[dict], name: str, sections: tuple) -> list[list[list]]:
-    """The columns of each of ``sections``, read from ``records``, the
-    records after ``meta`` in artifact ``name``. Section i is the record on
-    line i + 2; each of its columns must be a list of the meta count's
-    elements that passes the column's check, and no record may follow the
-    last section."""
-    for _, count_key, _ in sections:
-        count = meta.get(count_key)
-        if type(count) is not int or count < 0:
-            raise GraphFormatError(f"{name}:1: meta {count_key} must be a non-negative integer, got {count!r}")
-    tables = []
-    for lineno, (kind, count_key, columns) in enumerate(sections, start=2):
-        where, count = f"{name}:{lineno}", meta[count_key]
-        record = next(records, None)
-        if record is None or record.get("kind") != kind:
-            found = "no record" if record is None else f"record kind {record.get('kind')!r}"
-            raise GraphFormatError(f"{where}: expected the {kind} record, found {found}")
-        table = []
-        for key, check, what in columns:
-            column = record.get(key)
-            if not isinstance(column, list):
-                raise GraphFormatError(f"{where}: column {key!r} is {'missing' if column is None else 'not a list'}")
-            if len(column) != count:
-                raise GraphFormatError(
-                    f"{where}: column {key!r} has {len(column)} elements, the meta {count_key} is {count}"
-                )
-            if not check(column):
-                raise GraphFormatError(f"{where}: column {key!r} holds a value that is not {what}")
-            table.append(column)
-        tables.append(table)
-    extra = next(records, None)
-    if extra is not None:
-        raise GraphFormatError(
-            f"{name}:{len(sections) + 2}: unexpected record kind {extra.get('kind')!r} "
-            f"after the {sections[-1][0]} record"
-        )
-    return tables
-
-
-def _ascending(values: list) -> bool:
-    return all(map(lt, values, islice(values, 1, None)))
 
 
 def save_graph(graph: KnowledgeGraph) -> bytes:
@@ -519,28 +466,24 @@ def save_graph(graph: KnowledgeGraph) -> bytes:
 def load_graph(data: bytes) -> KnowledgeGraph:
     """Build a graph from ``graph.jsonl`` (nodes and edges), failing closed.
 
-    Everything is checked before a node is built: a string schema version
-    and an integer ``next_node_id`` in the meta; the ``nodes`` and ``edges``
-    records on lines 2 and 3 and nothing after them; columns of the meta's
-    counts whose elements have exactly their types (ids and endpoints are
-    ints, never bools; every weight is a finite float of at least 1.0);
-    strictly ascending node ids and edge keys (head, tail, relation), so
-    none repeats; and edge endpoints that are defined nodes.
+    Everything is checked before a node is built: ``records.read_columns``
+    checks the ``nodes`` and ``edges`` columns (every weight a finite float
+    of at least 1.0); then a string schema version and an integer
+    ``next_node_id`` in the meta, strictly ascending node ids and edge keys
+    (head, tail, relation), so none repeats, and edge endpoints that are
+    defined nodes.
     """
     name = GRAPH_NAME
-    meta, records = read_artifact(data, name)
-    schema_version, next_id = meta.get("schema_version"), meta.get("next_node_id")
+    meta, (nodes, edges) = read_columns(data, name, _GRAPH_SECTIONS)
+    schema_version, next_id = meta.get("schema_version"), meta_int(meta, "next_node_id", name)
     if type(schema_version) is not str:
         raise GraphFormatError(f"{name}:1: meta schema_version must be a string, got {schema_version!r}")
-    if type(next_id) is not int or next_id < 0:
-        raise GraphFormatError(f"{name}:1: meta next_node_id must be a non-negative integer, got {next_id!r}")
-    nodes, edges = _read_columns(meta, records, name, _GRAPH_SECTIONS)
     ids, names, entity_types, attributes, node_chunks, aliases = nodes
     heads, tails, relations, weights, edge_chunks = edges
-    if not _ascending(ids):
+    if not ascending(ids):
         raise GraphFormatError(f"{name}:2: column 'id' is not strictly ascending")
     keys = list(zip(heads, tails, relations))
-    if not _ascending(keys):
+    if not ascending(keys):
         raise GraphFormatError(f"{name}:3: columns 'head', 'tail', 'relation' are not strictly ascending")
     defined = set(ids)
     for key, column in (("head", heads), ("tail", tails)):
@@ -586,16 +529,14 @@ def load_chunks(data: bytes, text: bytes, into: KnowledgeGraph) -> KnowledgeGrap
     """Give ``into`` the chunks of ``chunks.jsonl`` (``data``) over the texts
     of ``chunks.txt`` (``text``), replacing any it held.
 
-    Everything is checked here, nothing per chunk is built: one ``chunks``
-    record after the meta; four list columns of the meta's ``count``
-    elements, each element exactly a ``str`` or ``int`` (no bools); strictly
-    ascending ids; a ``text_end`` that never decreases from 0 and ends at the
-    length of ``text``, which must be strict UTF-8.
+    Everything is checked here, nothing per chunk is built: the ``chunks``
+    columns by ``records.read_columns``, then strictly ascending ids and a
+    ``text_end`` that never decreases from 0 and ends at the length of
+    ``text``, which must be strict UTF-8.
     """
-    meta, records = read_artifact(data, CHUNKS_NAME)
-    [(ids, document_ids, char_offsets, text_end)] = _read_columns(meta, records, CHUNKS_NAME, _CHUNK_SECTIONS)
+    _, [(ids, document_ids, char_offsets, text_end)] = read_columns(data, CHUNKS_NAME, _CHUNK_SECTIONS)
     where = f"{CHUNKS_NAME}:2"
-    if not _ascending(ids):
+    if not ascending(ids):
         raise GraphFormatError(f"{where}: chunk ids are not strictly ascending")
     if not all(map(le, chain((0,), text_end), text_end)):
         raise GraphFormatError(f"{where}: text_end decreases or starts below 0")

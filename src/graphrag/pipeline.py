@@ -7,16 +7,16 @@ An index directory is self-contained:
     chunks.jsonl        chunk columns: ids, documents, offsets, text ends
     chunks.txt          every chunk text joined in chunk id order
     embeddings.npy      one float64 row per chunk, in chunk id order
-    communities.jsonl   community memberships (written by cluster)
-    reports.jsonl       community reports with embeddings (written by cluster)
+    communities.jsonl   community columns: ids, dimensions, members, edges
+    reports.jsonl       report columns: titles, summaries, embeddings
     eval_report.json    benchmark metrics (written by eval, plus a .txt table)
 
-Every ``.jsonl`` artifact is written and read by the one codec in
-``records``: one compact JSON object per line behind a ``meta`` record that
-carries ``records.FORMAT_VERSION``, the single format version, which the
-manifest also carries. ``chunks.jsonl`` holds a single record of columns
-whose ``text_end`` cuts ``chunks.txt``, the chunk texts as one UTF-8 text,
-so a load parses one line and builds no per-chunk object.
+Every ``.jsonl`` artifact is a ``meta`` record carrying
+``records.FORMAT_VERSION``, which the manifest also carries, then records of
+parallel columns, and ``records.read_columns`` reads all four. The
+``text_end`` column of ``chunks.jsonl`` cuts ``chunks.txt``, the chunk texts
+as one UTF-8 text. ``load_communities`` builds the communities but no
+report: retrieval reads only the report embeddings, one matrix of them.
 ``embeddings.npy`` is a little-endian float64 matrix in numpy's ``.npy``
 format, written without pickling; its rows follow
 ``KnowledgeGraph.chunk_ids()``, so it needs no ids of its own. The corpus and
@@ -43,15 +43,16 @@ import hashlib
 import io
 import json
 import logging
-import math
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from .community import (
+    ClusterParams,
     Community,
     CommunityReport,
     attribute_cluster,
@@ -85,7 +86,9 @@ from .graph_store import (
     save_graph,
 )
 from .ontology import OntologySchema, load_schema
-from .records import FORMAT_VERSION, dump_jsonl, read_artifact, read_input
+from .records import (
+    FORMAT_VERSION, dump_jsonl, floats, ints, lists_of, meta_int, read_columns, read_input, str_lists, strs,
+)
 from .retrieval import IndexBundle, RetrievalResponse, retrieve
 
 log = logging.getLogger(__name__)
@@ -310,6 +313,11 @@ def read_manifest(index_dir: Path) -> dict:
             f"{path}: index format {manifest.get('format_version')!r}, but this version reads "
             f"format {FORMAT_VERSION}; rebuild with --force"
         )
+    artifacts = manifest.get("artifacts")
+    if not isinstance(artifacts, dict) or not strs(artifacts.values()):
+        raise GraphFormatError(f"{path}: artifacts is not a map of artifact names to digest strings")
+    if type(manifest.get("clustered_from")) not in (str, type(None)):
+        raise GraphFormatError(f"{path}: clustered_from is not a digest string")
     return manifest
 
 
@@ -318,7 +326,7 @@ def _verified_bytes(index_dir: Path, name: str, manifest: dict) -> bytes:
     if not path.is_file():
         raise ConfigError(f"index at {index_dir} is missing {name}; rebuild with --force")
     data = path.read_bytes()
-    expected = manifest.get("artifacts", {}).get(name)
+    expected = manifest["artifacts"].get(name)
     if expected and _sha256(data) != expected:
         raise GraphFormatError(f"{path}: content does not match the manifest digest; rebuild with --force")
     return data
@@ -424,50 +432,10 @@ def run_clustering(
     chat = clients.chat if cfg.clients.mode == "http" else None
     reports = [generate_report(c, graph, chat, clients.embed) for c in communities]
 
-    params = cfg.clustering.params
-    community_records = [{
-        "kind": "meta",
-        "format_version": FORMAT_VERSION,
-        "count": len(communities),
-        "params": {
-            "alpha": params.alpha,
-            "tau": params.tau,
-            "max_passes": params.max_passes,
-            "min_community_size": params.min_community_size,
-        },
-    }]
-    for c in communities:
-        community_records.append({
-            "kind": "community",
-            "id": c.id,
-            "dimension": c.dimension,
-            "label": c.label,
-            "members": sorted(c.members),
-            "completed_members": sorted(c.completed_members),
-            "internal_edges": [list(key) for key in c.internal_edges],
-        })
-    report_records = [{
-        "kind": "meta",
-        "format_version": FORMAT_VERSION,
-        "count": len(reports),
-        "dimension": cfg.clients.embed_dim,
-    }]
-    for r in reports:
-        report_records.append({
-            "kind": "report",
-            "community_id": r.community_id,
-            "title": r.title,
-            "summary": r.summary,
-            "dimension": r.dimension,
-            "entities": list(r.entities),
-            "relations": list(r.relations),
-            "embedding": [float(x) for x in r.embedding],
-            "source_chunks": list(r.source_chunks),
-        })
-
-    community_bytes = dump_jsonl(community_records)
-    report_bytes = dump_jsonl(report_records)
-    artifacts = manifest.get("artifacts", {})
+    community_bytes, report_bytes = save_communities(
+        communities, reports, cfg.clustering.params, cfg.clients.embed_dim
+    )
+    artifacts = manifest["artifacts"]
     manifest = dict(
         manifest,
         artifacts={**artifacts, COMMUNITIES_NAME: _sha256(community_bytes), REPORTS_NAME: _sha256(report_bytes)},
@@ -487,91 +455,108 @@ def run_clustering(
     return summary
 
 
-def _ints(values: list, field: str) -> list[int]:
-    """``values`` if it is a list of exact ints: JSON ``true`` or ``2.7`` is
-    refused, never rounded."""
-    if not isinstance(values, list):
-        raise TypeError(f"{field} is not a list")
-    if not set(map(type, values)) <= {int}:
-        raise ValueError(f"{field} holds {next(v for v in values if type(v) is not int)!r}, not an integer")
-    return values
+def _edge_keys(keys: Iterable) -> bool:
+    return all(type(key) is list and tuple(map(type, key)) == (int, int, str) for key in keys)
 
 
-def _int(value: object, field: str) -> int:
-    return _ints([value], field)[0]
+# The one record of columns in each cluster artifact, for ``records.read_columns``.
+_COMMUNITY_SECTIONS = (
+    ("communities", "count", (
+        ("id", ints, "an integer"),
+        ("dimension", strs, "a string"),
+        ("label", strs, "a string"),
+        ("members", lists_of(ints), "a list of integers"),
+        ("completed_members", lists_of(ints), "a list of integers"),
+        ("internal_edges", lists_of(_edge_keys), "a list of [head, tail, relation] edge keys"),
+    )),
+)
+_REPORT_SECTIONS = (
+    ("reports", "count", (
+        ("community_id", ints, "an integer"),
+        ("title", strs, "a string"),
+        ("summary", strs, "a string"),
+        ("dimension", strs, "a string"),
+        ("entities", str_lists, "a list of strings"),
+        ("relations", str_lists, "a list of strings"),
+        ("embedding", lists_of(floats), "a list of floats"),
+        ("source_chunks", str_lists, "a list of strings"),
+    )),
+)
 
 
-def load_communities(index_dir: Path, manifest: dict) -> tuple[list[Community], dict[int, CommunityReport]]:
-    """Read communities.jsonl and reports.jsonl back into their dataclasses.
-    Each file must match its digest in ``manifest``, and the manifest must
-    record that they were clustered from its graph.jsonl."""
+def save_communities(communities: list[Community], reports: list[CommunityReport], params: ClusterParams,
+                     dim: int) -> tuple[bytes, bytes]:
+    """The bytes of ``communities.jsonl`` and of ``reports.jsonl``: each a
+    meta record, then one record of columns whose row i describes
+    ``communities[i]`` and ``reports[i]``. ``dim`` is the report embedding
+    width, which the reports' meta carries even when there are none."""
+    community_meta = {"kind": "meta", "format_version": FORMAT_VERSION, "count": len(communities),
+                      "params": dataclasses.asdict(params)}
+    community_columns = {
+        "kind": "communities",
+        "id": [c.id for c in communities],
+        "dimension": [c.dimension for c in communities],
+        "label": [c.label for c in communities],
+        "members": [sorted(c.members) for c in communities],
+        "completed_members": [sorted(c.completed_members) for c in communities],
+        "internal_edges": [c.internal_edges for c in communities],
+    }
+    report_meta = {"kind": "meta", "format_version": FORMAT_VERSION, "count": len(reports), "dimension": dim}
+    keys = [field.name for field in dataclasses.fields(CommunityReport)]
+    report_columns = {"kind": "reports", **{key: [getattr(r, key) for r in reports] for key in keys}}
+    return dump_jsonl([community_meta, community_columns]), dump_jsonl([report_meta, report_columns])
+
+
+def load_communities(index_dir: Path, manifest: dict) -> tuple[list[Community], np.ndarray]:
+    """The communities of communities.jsonl, and the report embeddings of
+    reports.jsonl as one ``(count, dimension)`` float64 matrix whose row i
+    belongs to community i: no report is built, as retrieval reads only
+    the embeddings. Both files must match their digests in ``manifest``,
+    which must record that they were clustered from its graph.jsonl. Beyond
+    ``records.read_columns``' checks, the community ids are exactly 0 to
+    count - 1, each community's members are a non-empty subset of its
+    completed members, the reports' ``community_id`` column equals the ``id``
+    column, and every embedding is ``dimension`` finite floats.
+    """
     out = Path(index_dir)
-    for name in (COMMUNITIES_NAME, REPORTS_NAME):
-        if not (out / name).is_file():
-            raise ConfigError(f"no communities at {out}; run `graphrag cluster` first")
-    if manifest.get("clustered_from") != manifest.get("artifacts", {}).get(GRAPH_NAME):
+    if not all((out / name).is_file() for name in (COMMUNITIES_NAME, REPORTS_NAME)):
+        raise ConfigError(f"no communities at {out}; run `graphrag cluster` first")
+    if manifest.get("clustered_from") != manifest["artifacts"].get(GRAPH_NAME):
         raise GraphFormatError(
             f"index at {out}: {COMMUNITIES_NAME} and {REPORTS_NAME} were not clustered from its "
             f"{GRAPH_NAME}; rebuild with --force"
         )
 
-    communities = []
-    known: set[int] = set()
-    _, records = read_artifact(_verified_bytes(out, COMMUNITIES_NAME, manifest), COMMUNITIES_NAME)
-    for lineno, record in enumerate(records, start=2):
-        if record.get("kind") != "community":
-            raise GraphFormatError(f"{COMMUNITIES_NAME}:{lineno}: unexpected record kind {record.get('kind')!r}")
-        try:
-            internal_edges = tuple((h, t, str(rel)) for h, t, rel in record["internal_edges"])
-            _ints([n for edge in internal_edges for n in edge[:2]], "internal_edges")
-            community = Community(
-                id=_int(record["id"], "id"),
-                dimension=str(record["dimension"]),
-                members=frozenset(_ints(record["members"], "members")),
-                completed_members=frozenset(_ints(record["completed_members"], "completed_members")),
-                internal_edges=internal_edges,
-                label=str(record.get("label") or ""),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GraphFormatError(f"{COMMUNITIES_NAME}:{lineno}: malformed community record ({exc})") from exc
-        if community.id in known:
-            raise GraphFormatError(f"{COMMUNITIES_NAME}:{lineno}: repeated community id {community.id}")
-        known.add(community.id)
-        communities.append(community)
-    reports: dict[int, CommunityReport] = {}
-    meta, records = read_artifact(_verified_bytes(out, REPORTS_NAME, manifest), REPORTS_NAME)
-    for lineno, record in enumerate(records, start=2):
-        if record.get("kind") != "report":
-            raise GraphFormatError(f"{REPORTS_NAME}:{lineno}: unexpected record kind {record.get('kind')!r}")
-        try:
-            embedding = record["embedding"]
-            if not isinstance(embedding, list) or not set(map(type, embedding)) <= {float}:
-                raise ValueError("embedding is not a list of floats")
-            report = CommunityReport(
-                community_id=_int(record["community_id"], "community_id"),
-                title=str(record["title"]),
-                summary=str(record["summary"]),
-                dimension=str(record["dimension"]),
-                entities=tuple(record["entities"]),
-                relations=tuple(record["relations"]),
-                embedding=tuple(embedding),
-                source_chunks=tuple(record["source_chunks"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GraphFormatError(f"{REPORTS_NAME}:{lineno}: malformed report record ({exc})") from exc
-        if not all(map(math.isfinite, report.embedding)):
-            raise GraphFormatError(f"{REPORTS_NAME}:{lineno}: embedding holds a non-finite value")
-        if len(report.embedding) != meta.get("dimension"):
-            raise GraphFormatError(
-                f"{REPORTS_NAME}:{lineno}: embedding has {len(report.embedding)} dimensions, "
-                f"meta says {meta.get('dimension')!r}"
-            )
-        if report.community_id in reports:
-            raise GraphFormatError(f"{REPORTS_NAME}:{lineno}: repeated report for community {report.community_id}")
-        reports[report.community_id] = report
-    if set(reports) != known:
-        raise GraphFormatError("reports.jsonl does not cover communities.jsonl exactly")
-    return communities, reports
+    data = _verified_bytes(out, COMMUNITIES_NAME, manifest)
+    _, [(ids, dimensions, labels, members, completed, edges)] = read_columns(
+        data, COMMUNITIES_NAME, _COMMUNITY_SECTIONS
+    )
+    where = f"{COMMUNITIES_NAME}:2"
+    if ids != list(range(len(ids))):
+        raise GraphFormatError(f"{where}: column 'id' is not 0 to {len(ids) - 1} in order")
+    members, completed = list(map(frozenset, members)), list(map(frozenset, completed))
+    bad = next((row for row, (m, c) in enumerate(zip(members, completed)) if not m or not m <= c), None)
+    if bad is not None:
+        raise GraphFormatError(f"{where}: column 'members' is empty or not within 'completed_members' in row {bad}")
+
+    data = _verified_bytes(out, REPORTS_NAME, manifest)
+    meta, [(community_ids, *_, embeddings, _)] = read_columns(data, REPORTS_NAME, _REPORT_SECTIONS)
+    dim, where = meta_int(meta, "dimension", REPORTS_NAME), f"{REPORTS_NAME}:2"
+    if community_ids != ids:
+        raise GraphFormatError(f"{where}: column 'community_id' is not the 'id' column of {COMMUNITIES_NAME}")
+    bad = next((row for row, vector in enumerate(embeddings) if len(vector) != dim), None)
+    if bad is not None:
+        raise GraphFormatError(
+            f"{where}: column 'embedding' has {len(embeddings[bad])} dimensions in row {bad}, "
+            f"the meta dimension is {dim}"
+        )
+    matrix = np.array(embeddings, dtype=np.float64).reshape(len(embeddings), dim)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise GraphFormatError(f"{where}: column 'embedding' holds a non-finite value in row {finite.argmin()}")
+
+    internal_edges = [tuple(map(tuple, keys)) for keys in edges]
+    return list(map(Community, ids, dimensions, members, completed, internal_edges, labels)), matrix
 
 
 # -- query stages ---------------------------------------------------------------------
@@ -590,14 +575,14 @@ def _check_provenance(out: Path, graph: KnowledgeGraph) -> None:
 
 
 def _check_community_members(graph: KnowledgeGraph, communities: list[Community]) -> None:
-    """Every community member must be a graph node. ``communities`` is in
-    file order, so record n of communities.jsonl sits on line n + 1."""
+    """Every community member must be a graph node. The communities are the
+    columns on line 2 of communities.jsonl."""
     nodes = set(graph.node_ids())
-    for lineno, community in enumerate(communities, start=2):
+    for community in communities:
         unknown = sorted(community.completed_members - nodes)
         if unknown:
             raise GraphFormatError(
-                f"{COMMUNITIES_NAME}:{lineno}: community {community.id} names unknown node {unknown[0]}"
+                f"{COMMUNITIES_NAME}:2: community {community.id} names unknown node {unknown[0]}"
             )
 
 
@@ -606,15 +591,15 @@ def load_bundle(cfg: PipelineConfig, index_dir: Path | None = None) -> IndexBund
     graph, manifest = load_index_graph(out)
     _check_provenance(out, graph)
     chunk_store = _load_embeddings(out, manifest, graph.chunk_ids())
-    communities, reports = load_communities(out, manifest)
-    dims = {chunk_store.dim, *(len(report.embedding) for report in reports.values())}
+    communities, report_embeddings = load_communities(out, manifest)
+    dims = {chunk_store.dim, report_embeddings.shape[1]}
     if dims != {cfg.clients.embed_dim}:
         raise ConfigError(
             f"index at {out} holds {'- and '.join(map(str, sorted(dims)))}-dimensional embeddings but "
             f"clients.embed_dim is {cfg.clients.embed_dim}; rebuild the index or fix the config"
         )
     _check_community_members(graph, communities)
-    return IndexBundle.assemble(graph, communities, reports, chunk_store)
+    return IndexBundle.assemble(graph, communities, report_embeddings, chunk_store)
 
 
 def run_retrieve(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .community import Community, CommunityReport
+from .community import Community
 # cosine is re-exported: callers import it from this module as well
 from .embedding import EmbeddingClient, RerankClient, VectorStore, cosine, top_rows  # noqa: F401
 from .errors import GraphRagError, QueryError
@@ -333,12 +333,12 @@ class IndexBundle:
         cls,
         graph: KnowledgeGraph,
         communities: list[Community],
-        reports: dict[int, CommunityReport],
+        report_embeddings: np.ndarray,
         chunk_store: VectorStore,
     ) -> "IndexBundle":
         """Bundle an index whose chunk store holds a row for every chunk of
-        ``graph`` and whose reports, one per community, share its
-        dimension."""
+        ``graph`` and whose report embeddings, row i for ``communities[i]``,
+        share its dimension."""
         rows: list[int] = []
         owners: list[int] = []
         for index, community in enumerate(communities):
@@ -348,15 +348,11 @@ class IndexBundle:
             for chunk_id in chunk_ids:
                 rows.append(chunk_store.position(chunk_id))
                 owners.append(index)
-        # the reshape keeps an index without communities a (0, dim) matrix
-        embeddings = np.array([reports[c.id].embedding for c in communities], dtype=np.float64)
         return cls(
             graph=graph,
             communities=communities,
             chunk_store=chunk_store,
-            report_store=VectorStore.from_matrix(
-                [str(c.id) for c in communities], embeddings.reshape(len(communities), chunk_store.dim)
-            ),
+            report_store=VectorStore.from_matrix([str(c.id) for c in communities], report_embeddings),
             trie=build_trie(graph),
             member_rows=np.array(rows, dtype=np.int64),
             member_communities=np.array(owners, dtype=np.int64),

@@ -435,42 +435,71 @@ class TestRetrieveCommand:
 
     def test_format_3_index_is_a_clean_error(self, museum_index, tmp_path, capsys):
         """An index in the third format, with one graph.jsonl record per node
-        and per edge, is refused with a hint to rebuild it."""
+        and per edge, or in the fourth, with one record per community and per
+        report, is refused with a hint to rebuild it."""
+        # the files each format stored as one record per row, and those kinds
+        row_records = {3: {"graph.jsonl": ("node", "edge")},
+                       4: {"communities.jsonl": ("community",), "reports.jsonl": ("report",)}}
+        for version, exploded in row_records.items():
+            index = tmp_path / f"index{version}"
+            shutil.copytree(museum_index, index)
+            for name in ("graph.jsonl", "chunks.jsonl", "communities.jsonl", "reports.jsonl"):
+                meta, *tables = map(json.loads, (index / name).read_text("utf-8").splitlines())
+                records = [{**meta, "format_version": version}]
+                if name not in exploded:
+                    records += tables
+                for kind, columns in zip(exploded.get(name, ()), tables):
+                    keys = [key for key in columns if key != "kind"]
+                    records += [{"kind": kind, **dict(zip(keys, row))} for row in zip(*(columns[key] for key in keys))]
+                (index / name).write_bytes("".join(json.dumps(r) + "\n" for r in records).encode("utf-8"))
+            manifest = json.loads((index / "manifest.json").read_text("utf-8"))
+            manifest["format_version"] = version
+            for name in manifest["artifacts"]:
+                manifest["artifacts"][name] = hashlib.sha256((index / name).read_bytes()).hexdigest()
+            manifest["clustered_from"] = manifest["artifacts"]["graph.jsonl"]
+            (index / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+            args = ["retrieve", "--config", MUSEUM / "config.yaml", "--index", index, "--query", "warring states"]
+            assert run(args) == 1
+            captured = capsys.readouterr()
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert f"index format {version}" in lines[0] and lines[0].endswith("rebuild with --force")
+            assert "Traceback" not in captured.err + captured.out
+
+    NOT_A_MAP = "artifacts is not a map of artifact names to digest strings"
+
+    @pytest.mark.parametrize(
+        "edit,says",
+        [
+            (lambda m: m.update(artifacts=[]), NOT_A_MAP),
+            (lambda m: m.pop("artifacts"), NOT_A_MAP),
+            (lambda m: m["artifacts"].update({"graph.jsonl": 5}), NOT_A_MAP),
+            (lambda m: m.update(clustered_from=5), "clustered_from is not a digest string"),
+        ],
+        ids=["artifacts-list", "artifacts-missing", "digest-int", "clustered-from-int"],
+    )
+    def test_malformed_manifest_is_a_clean_error(self, museum_index, tmp_path, capsys, edit, says):
         index = tmp_path / "index"
         shutil.copytree(museum_index, index)
-        meta, nodes, edges = map(json.loads, (index / "graph.jsonl").read_text("utf-8").splitlines())
-        records = [{"kind": "meta", "format_version": 3, "schema_version": meta["schema_version"],
-                    "next_node_id": meta["next_node_id"]}]
-        for kind, columns in (("node", nodes), ("edge", edges)):
-            keys = [key for key in columns if key != "kind"]
-            records += [{"kind": kind, **dict(zip(keys, row))} for row in zip(*(columns[key] for key in keys))]
-        (index / "graph.jsonl").write_bytes("".join(json.dumps(r) + "\n" for r in records).encode("utf-8"))
-        for name in ("chunks.jsonl", "communities.jsonl", "reports.jsonl"):
-            lines = (index / name).read_text("utf-8").splitlines()
-            first = json.loads(lines[0])
-            (index / name).write_text("\n".join([json.dumps({**first, "format_version": 3}), *lines[1:]]) + "\n", "utf-8")
         manifest = json.loads((index / "manifest.json").read_text("utf-8"))
-        manifest["format_version"] = 3
-        for name in manifest["artifacts"]:
-            manifest["artifacts"][name] = hashlib.sha256((index / name).read_bytes()).hexdigest()
-        manifest["clustered_from"] = manifest["artifacts"]["graph.jsonl"]
+        edit(manifest)
         (index / "manifest.json").write_text(json.dumps(manifest), "utf-8")
         args = ["retrieve", "--config", MUSEUM / "config.yaml", "--index", index, "--query", "warring states"]
         assert run(args) == 1
         captured = capsys.readouterr()
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert "index format 3" in lines[0] and lines[0].endswith("rebuild with --force")
-        assert "Traceback" not in captured.err + captured.out
+        assert captured.err == f"error: {index / 'manifest.json'}: {says}\n"
+        assert "Traceback" not in captured.out
 
     @pytest.mark.parametrize(
         "name,line,edit,says",
         [
             ("graph.jsonl", 3, lambda r: r["weight"].__setitem__(0, math.nan), "column 'weight'"),
             ("graph.jsonl", 2, lambda r: r["id"].__setitem__(1, True), "column 'id'"),
-            ("reports.jsonl", 2, lambda r: r["embedding"].__setitem__(0, math.nan), "non-finite"),
+            ("reports.jsonl", 2, lambda r: r["embedding"][0].__setitem__(0, math.nan), "non-finite"),
+            ("reports.jsonl", 2, lambda r: r["entities"].__setitem__(0, "Sword"), "column 'entities'"),
+            ("reports.jsonl", 2, lambda r: r["title"].__setitem__(0, 5), "column 'title'"),
         ],
-        ids=["graph-weight-nan", "graph-id-bool", "report-embedding-nan"],
+        ids=["graph-weight-nan", "graph-id-bool", "report-embedding-nan", "report-entities-str", "report-title-int"],
     )
     def test_malformed_artifact_value_is_a_clean_error(self, museum_index, tmp_path, capsys, name, line, edit, says):
         index = tmp_path / "index"

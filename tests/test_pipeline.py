@@ -9,11 +9,16 @@ import math
 import os
 import re
 import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import EMBEDDING_CORRUPTIONS, corrupt_embeddings, drop_digests
+from graphrag.community import ClusterParams, Community, CommunityReport
 from graphrag.config import load_config
 from graphrag.embedding import HashingEmbedder
 from graphrag.errors import BenchmarkError, ConfigError, GraphFormatError, IndexingError
@@ -28,7 +33,9 @@ from graphrag.pipeline import (
     run_clustering,
     run_eval,
     run_retrieve,
+    save_communities,
 )
+from graphrag.records import FORMAT_VERSION
 
 
 class TestReadCorpus:
@@ -214,7 +221,7 @@ def _repeat_record(lines):
 
 def _short_vector(lines):
     record = json.loads(lines[1])
-    record["embedding"] = record["embedding"][:3]
+    record["embedding"][0] = record["embedding"][0][:3]
     return [lines[0], json.dumps(record), *lines[2:]]
 
 
@@ -227,25 +234,43 @@ def _chunk_record(lines):
 
 def _unknown_member(lines):
     record = json.loads(lines[1])
-    record["completed_members"].append(9999)
+    record["completed_members"][0].append(9999)
     return [lines[0], json.dumps(record), *lines[2:]]
 
 
 ARTIFACTS = ["graph.jsonl", "chunks.jsonl", "communities.jsonl", "reports.jsonl"]
 
-# Values a cluster record must refuse rather than round or pass on: (file,
-# an edit of its first record, what the error must say after the line).
+# Values a cluster column must refuse rather than round or pass on: (file,
+# an edit of row 0 of its record of columns, what the error must say after
+# the line).
 CLUSTER_VALUES = {
-    "embedding-nan": ("reports.jsonl", lambda r: r["embedding"].__setitem__(1, math.nan), "non-finite"),
-    "embedding-infinite": ("reports.jsonl", lambda r: r["embedding"].__setitem__(0, -math.inf), "non-finite"),
-    "embedding-bool": ("reports.jsonl", lambda r: r["embedding"].__setitem__(0, True), "not a list of floats"),
-    "community-id-bool": ("reports.jsonl", lambda r: r.update(community_id=False), "community_id holds False"),
-    "id-float": ("communities.jsonl", lambda r: r.update(id=0.0), "id holds 0.0"),
-    "member-fraction": ("communities.jsonl", lambda r: r["members"].__setitem__(0, 2.7), "members holds 2.7"),
-    "completed-member-bool": ("communities.jsonl", lambda r: r["completed_members"].__setitem__(0, True),
-                              "completed_members holds True"),
-    "edge-end-float": ("communities.jsonl", lambda r: r["internal_edges"][0].__setitem__(1, 1.0),
-                       "internal_edges holds 1.0"),
+    "embedding-nan": ("reports.jsonl", lambda r: r["embedding"][0].__setitem__(1, math.nan), "non-finite"),
+    "embedding-infinite": ("reports.jsonl", lambda r: r["embedding"][0].__setitem__(0, -math.inf), "non-finite"),
+    "embedding-bool": ("reports.jsonl", lambda r: r["embedding"][0].__setitem__(0, True), "not a list of floats"),
+    "community-id-bool": ("reports.jsonl", lambda r: r["community_id"].__setitem__(0, False),
+                          "column 'community_id' holds False"),
+    "id-float": ("communities.jsonl", lambda r: r["id"].__setitem__(0, 0.0), "column 'id' holds 0.0"),
+    "member-fraction": ("communities.jsonl", lambda r: r["members"][0].__setitem__(0, 2.7),
+                        "column 'members' holds [2.7,"),
+    "completed-member-bool": ("communities.jsonl", lambda r: r["completed_members"][0].__setitem__(0, True),
+                              "column 'completed_members' holds [True,"),
+    "edge-end-float": ("communities.jsonl", lambda r: r["internal_edges"][0][0].__setitem__(1, 1.0),
+                       "column 'internal_edges' holds [[0, 1.0,"),
+    "entities-str": ("reports.jsonl", lambda r: r["entities"].__setitem__(0, "Sword"),
+                     "column 'entities' holds 'Sword' in row 0, not a list of strings"),
+    "title-int": ("reports.jsonl", lambda r: r["title"].__setitem__(0, 5), "column 'title' holds 5 in row 0"),
+    "report-dimension-int": ("reports.jsonl", lambda r: r["dimension"].__setitem__(0, 5),
+                             "column 'dimension' holds 5 in row 0"),
+    "community-dimension-int": ("communities.jsonl", lambda r: r["dimension"].__setitem__(0, 5),
+                                "column 'dimension' holds 5 in row 0"),
+    "label-null": ("communities.jsonl", lambda r: r["label"].__setitem__(0, None), "column 'label' holds None"),
+    "relation-int": ("communities.jsonl", lambda r: r["internal_edges"][0][0].__setitem__(2, 7),
+                     "column 'internal_edges' holds [[0, 1, 7],"),
+    "id-gap": ("communities.jsonl", lambda r: r["id"].__setitem__(0, 7), "column 'id' is not 0 to"),
+    "members-outside": ("communities.jsonl", lambda r: r["members"][0].append(9999),
+                        "column 'members' is empty or not within 'completed_members' in row 0"),
+    "community-id-mismatch": ("reports.jsonl", lambda r: r["community_id"].__setitem__(0, 1),
+                              "column 'community_id' is not the 'id' column"),
 }
 
 
@@ -300,8 +325,9 @@ class TestArtifactFormat:
         shutil.copytree(museum_index, out)
         drop_digests(out, "communities.jsonl", "reports.jsonl")
         for name in ("communities.jsonl", "reports.jsonl"):
-            meta = json.loads((out / name).read_text("utf-8").splitlines()[0])
-            (out / name).write_text(json.dumps({**meta, "count": 0}) + "\n", "utf-8")
+            meta, record = map(json.loads, (out / name).read_text("utf-8").splitlines())
+            empty = {key: value if key == "kind" else [] for key, value in record.items()}
+            (out / name).write_text(json.dumps({**meta, "count": 0}) + "\n" + json.dumps(empty) + "\n", "utf-8")
         bundle = load_bundle(museum_cfg, out)
         assert bundle.communities == [] and len(bundle.report_store) == 0
         response = run_retrieve(museum_cfg, "warring states bronze", index_dir=out)
@@ -362,7 +388,7 @@ class TestChunkColumns:
 
     def test_one_record_of_columns(self, museum_index):
         meta, record = map(json.loads, (museum_index / "chunks.jsonl").read_text("utf-8").splitlines())
-        assert meta == {"kind": "meta", "format_version": 4, "schema_version": "museum-1", "count": 5}
+        assert meta == {"kind": "meta", "format_version": FORMAT_VERSION, "schema_version": "museum-1", "count": 5}
         assert sorted(record) == ["char_offset", "document_id", "id", "kind", "text_end"]
         assert record["id"] == sorted(record["id"]) and len(set(record["id"])) == 5
         text = (museum_index / "chunks.txt").read_bytes().decode("utf-8")
@@ -414,16 +440,56 @@ class TestEmbeddingsMatrix:
         assert np.array_equal(store._matrix, np.array(want))
 
 
+@st.composite
+def cluster_artifacts(draw):
+    """Communities with dense ids, one report each, and the report width."""
+    dim, nodes, text = draw(st.integers(0, 4)), st.integers(0, 40), st.text(max_size=6)
+    communities, reports = [], []
+    for i in range(draw(st.integers(0, 4))):
+        members = draw(st.frozensets(nodes, min_size=1, max_size=4))
+        completed = members | draw(st.frozensets(nodes, max_size=3))
+        edges = tuple(draw(st.lists(st.tuples(nodes, nodes, text), max_size=3)))
+        communities.append(Community(i, draw(text), members, completed, edges, draw(text)))
+        strings = st.lists(text, max_size=3).map(tuple)
+        vector = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=dim, max_size=dim)
+        reports.append(CommunityReport(
+            i, draw(text), draw(text), communities[-1].dimension, draw(strings), draw(strings),
+            tuple(draw(vector)), draw(strings),
+        ))
+    return communities, reports, dim
+
+
+class TestClusterArtifacts:
+    """save_communities and load_communities are inverses: the communities
+    come back equal and the report embeddings bit-equal, in one matrix."""
+
+    @given(cluster_artifacts())
+    @example(([], [], 64))
+    @example(([Community(0, "", frozenset({3}), frozenset({3}))],
+              [CommunityReport(0, "", "", "", (), (), (), ())], 0))
+    def test_save_load_round_trip(self, case):
+        communities, reports, dim = case
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            for name, data in zip(("communities.jsonl", "reports.jsonl"),
+                                  save_communities(communities, reports, ClusterParams(), dim)):
+                (out / name).write_bytes(data)
+            loaded, embeddings = load_communities(out, {"artifacts": {}})
+        assert loaded == communities
+        want = np.array([r.embedding for r in reports], dtype=np.float64).reshape(len(reports), dim)
+        assert embeddings.shape == want.shape and embeddings.tobytes() == want.tobytes()
+
+
 class TestClustering:
     def test_artifacts_written(self, museum_cfg, museum_index):
         assert (museum_index / "communities.jsonl").exists()
         assert (museum_index / "reports.jsonl").exists()
 
     def test_communities_cover_expected_dimensions(self, museum_cfg, museum_index):
-        communities, reports = load_communities(museum_index, read_manifest(museum_index))
+        communities, report_embeddings = load_communities(museum_index, read_manifest(museum_index))
         dims = {c.dimension.split(":", 1)[0] for c in communities}
         assert dims == {"topology", "attribute", "multihop"}
-        assert sorted(reports) == [c.id for c in communities]
+        assert report_embeddings.shape == (len(communities), museum_cfg.clients.embed_dim)
         assert [c.id for c in communities] == list(range(len(communities)))
 
     def test_refuses_overwrite_without_force(self, museum_cfg, museum_index):
@@ -445,9 +511,13 @@ class TestClustering:
         shutil.copytree(museum_index, out)
         manifest = read_manifest(out)
         del manifest["artifacts"]["reports.jsonl"]
-        lines = (out / "reports.jsonl").read_text().strip().splitlines()
-        (out / "reports.jsonl").write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(GraphFormatError, match="report"):
+        meta, record = map(json.loads, (out / "reports.jsonl").read_text().splitlines())
+        for key, column in record.items():
+            if key != "kind":
+                column.pop()
+        meta["count"] -= 1
+        (out / "reports.jsonl").write_text(json.dumps(meta) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(GraphFormatError, match=r"reports\.jsonl:2: column 'community_id' is not the 'id' column"):
             load_communities(out, manifest)
 
     def test_cluster_binds_its_artifacts(self, museum_index):
