@@ -45,6 +45,7 @@ ARTIFACTS = (
     "embeddings.npy",
     "communities.jsonl",
     "reports.jsonl",
+    "report_embeddings.npy",
     "eval_report.json",
     "eval_report.txt",
 )

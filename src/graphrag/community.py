@@ -18,7 +18,6 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
-from .embedding import EmbeddingClient, HashingEmbedder
 from .errors import UndefinedModularityError, UnknownNodeError
 from .extraction import ChatClient
 from .graph_store import KnowledgeGraph
@@ -121,7 +120,6 @@ class CommunityReport:
     dimension: str
     entities: tuple[str, ...]
     relations: tuple[str, ...]
-    embedding: tuple[float, ...]
     source_chunks: tuple[str, ...]
 
 
@@ -556,14 +554,13 @@ def generate_report(
     community: Community,
     graph: KnowledgeGraph,
     client: ChatClient | None = None,
-    embedder: EmbeddingClient | None = None,
 ) -> CommunityReport:
-    """Render a community into a titled, embedded report.
+    """Render a community into a titled report; ``run_clustering`` embeds
+    the summaries of all reports in one batch.
 
     With a chat client the title/summary come from the model; on any client
     failure (or no client) the deterministic template takes over: entity
-    list, relation list, attribute histogram. Embedding failures are not
-    swallowed; retrieval cannot use an unembedded report.
+    list, relation list, attribute histogram.
     """
     entity_lines, relation_lines, histogram_lines, chunk_ids = _report_context(community, graph)
     sections = ["Entities:"] + entity_lines
@@ -601,8 +598,6 @@ def generate_report(
         except Exception as exc:
             log.warning("community %d: summarization failed (%s); using template", community.id, exc)
 
-    embedder = embedder or HashingEmbedder()
-    vector = embedder.embed([summary])[0]
     return CommunityReport(
         community_id=community.id,
         title=title,
@@ -610,6 +605,5 @@ def generate_report(
         dimension=community.dimension,
         entities=tuple(names),
         relations=tuple(relation_lines),
-        embedding=tuple(float(x) for x in vector),
         source_chunks=tuple(chunk_ids),
     )

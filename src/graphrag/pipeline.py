@@ -2,25 +2,27 @@
 
 An index directory is self-contained:
 
-    manifest.json       build record: format version, counts, artifact digests
-    graph.jsonl         nodes and edges
-    chunks.jsonl        chunk columns: ids, documents, offsets, text ends
-    chunks.txt          every chunk text joined in chunk id order
-    embeddings.npy      one float64 row per chunk, in chunk id order
-    communities.jsonl   community columns: ids, dimensions, members, edges
-    reports.jsonl       report columns: titles, summaries, embeddings
-    eval_report.json    benchmark metrics (written by eval, plus a .txt table)
+    manifest.json          build record: format version, counts, artifact digests
+    graph.jsonl            nodes and edges
+    chunks.jsonl           chunk columns: ids, documents, offsets, text ends
+    chunks.txt             every chunk text joined in chunk id order
+    embeddings.npy         one float64 row per chunk, in chunk id order
+    communities.jsonl      community columns: ids, dimensions, members, edges
+    reports.jsonl          report columns: titles, summaries, entities, sources
+    report_embeddings.npy  one float64 row per community report, in id order
+    eval_report.json       benchmark metrics (written by eval, plus a .txt table)
 
 Every ``.jsonl`` artifact is a ``meta`` record carrying
 ``records.FORMAT_VERSION``, which the manifest also carries, then records of
 parallel columns, and ``records.read_columns`` reads all four. The
 ``text_end`` column of ``chunks.jsonl`` cuts ``chunks.txt``, the chunk texts
-as one UTF-8 text. ``load_communities`` builds the communities but no
-report: retrieval reads only the report embeddings, one matrix of them.
-``embeddings.npy`` is a little-endian float64 matrix in numpy's ``.npy``
-format, written without pickling; its rows follow
-``KnowledgeGraph.chunk_ids()``, so it needs no ids of its own. The corpus and
-benchmark input files go through ``records``' input reader. Every artifact is
+as one UTF-8 text. Both ``.npy`` files are little-endian float64 matrices in
+numpy's ``.npy`` format, written without pickling by ``_embeddings_bytes``
+and read by ``_load_matrix``; their rows follow
+``KnowledgeGraph.chunk_ids()`` and the community ids, so they need no ids of
+their own. ``load_communities`` builds the communities but no report:
+retrieval reads only the report embeddings. The corpus and benchmark input
+files go through ``records``' input reader. Every artifact is
 byte-deterministic for a fixed config and corpus; the only run-dependent
 field is the manifest's ``created_at`` timestamp. A failed build raises
 before anything is written.
@@ -28,12 +30,14 @@ before anything is written.
 The manifest binds the artifacts together by sha256. ``build_index`` records
 the digests of the graph, the two chunk files and the embedding file;
 ``run_clustering`` then rewrites the manifest with the digests of the
-communities and reports and of the graph they were clustered from. Loading
-checks every digest the manifest holds. The config hash and client
-identities go to the eval report, not the manifest: the hash also covers
-query-time settings such as ``fusion``, so it cannot tell a stale index
-from a retuned query. The load-time guard against a changed embedder is
-the ``clients.embed_dim`` check.
+communities, reports and report embeddings and of the graph they were
+clustered from. ``_publish`` writes both stages' files and then the
+manifest. Loading checks the digest of every artifact it reads, and an
+artifact without one is refused. The config hash and client identities go
+to the eval report, not the manifest: the hash also covers query-time
+settings such as ``fusion``, so it cannot tell a stale index from a retuned
+query. The load-time guard against a changed embedder is the
+``clients.embed_dim`` check.
 """
 
 from __future__ import annotations
@@ -86,9 +90,7 @@ from .graph_store import (
     save_graph,
 )
 from .ontology import OntologySchema, load_schema
-from .records import (
-    FORMAT_VERSION, dump_jsonl, floats, ints, lists_of, meta_int, read_columns, read_input, str_lists, strs,
-)
+from .records import FORMAT_VERSION, dump_jsonl, ints, lists_of, read_columns, read_input, str_lists, strs
 from .retrieval import IndexBundle, RetrievalResponse, retrieve
 
 log = logging.getLogger(__name__)
@@ -97,6 +99,7 @@ MANIFEST_NAME = "manifest.json"
 EMBEDDINGS_NAME = "embeddings.npy"
 COMMUNITIES_NAME = "communities.jsonl"
 REPORTS_NAME = "reports.jsonl"
+REPORT_EMBEDDINGS_NAME = "report_embeddings.npy"
 
 
 # -- corpus ---------------------------------------------------------------------------
@@ -209,14 +212,27 @@ def _write_atomic(path: Path, data: bytes) -> None:
         raise
 
 
-def _embeddings_bytes(graph: KnowledgeGraph, embed: EmbeddingClient, dim: int) -> bytes:
-    """The chunk vectors as one little-endian float64 ``.npy`` matrix whose
-    row i embeds ``graph.chunk_ids()[i]``."""
-    texts = [graph.chunk(cid).text for cid in graph.chunk_ids()]
+def _embeddings_bytes(texts: list[str], embed: EmbeddingClient, dim: int) -> bytes:
+    """The vectors of ``texts``, embedded in one ``embed`` call, as one
+    little-endian float64 ``.npy`` matrix whose row i embeds ``texts[i]``."""
     matrix = np.array(embed.embed(texts) if texts else [], dtype="<f8").reshape(len(texts), dim)
     buffer = io.BytesIO()
     np.save(buffer, matrix, allow_pickle=False)
     return buffer.getvalue()
+
+
+def _publish(out: Path, files: dict[str, bytes], manifest: dict) -> dict:
+    """Write ``files`` into ``out``, then ``manifest`` with their digests
+    added to its artifacts, and return that manifest. The manifest goes
+    last: until it lands, the digests of the old one reject a half-replaced
+    index."""
+    digests = {name: _sha256(data) for name, data in files.items()}
+    manifest = dict(manifest, artifacts={**manifest.get("artifacts", {}), **digests})
+    out.mkdir(parents=True, exist_ok=True)
+    for name, data in files.items():
+        _write_atomic(out / name, data)
+    _write_atomic(out / MANIFEST_NAME, _dump_json(manifest))
+    return manifest
 
 
 def build_index(
@@ -253,8 +269,13 @@ def build_index(
 
     graph_bytes = save_graph(graph)
     chunk_bytes, chunk_text_bytes = save_chunks(graph)
-    embedding_bytes = _embeddings_bytes(graph, clients.embed, cfg.clients.embed_dim)
-
+    texts = [graph.chunk(cid).text for cid in graph.chunk_ids()]
+    files = {
+        GRAPH_NAME: graph_bytes,
+        CHUNKS_NAME: chunk_bytes,
+        CHUNKS_TEXT_NAME: chunk_text_bytes,
+        EMBEDDINGS_NAME: _embeddings_bytes(texts, clients.embed, cfg.clients.embed_dim),
+    }
     manifest = {
         "format_version": FORMAT_VERSION,
         "created_at": datetime.now(timezone.utc).isoformat(),
@@ -266,28 +287,13 @@ def build_index(
             "nodes": graph.node_count,
             "edges": graph.edge_count,
         },
-        "artifacts": {
-            GRAPH_NAME: _sha256(graph_bytes),
-            CHUNKS_NAME: _sha256(chunk_bytes),
-            CHUNKS_TEXT_NAME: _sha256(chunk_text_bytes),
-            EMBEDDINGS_NAME: _sha256(embedding_bytes),
-        },
     }
 
-    out.mkdir(parents=True, exist_ok=True)
     if force:
         # stale derived artifacts describe the index being replaced
-        for name in (COMMUNITIES_NAME, REPORTS_NAME, "eval_report.json", "eval_report.txt"):
-            stale = out / name
-            if stale.exists():
-                stale.unlink()
-    # the manifest goes last: until it lands, the digests of the old one
-    # reject a half-replaced index
-    _write_atomic(out / GRAPH_NAME, graph_bytes)
-    _write_atomic(out / CHUNKS_NAME, chunk_bytes)
-    _write_atomic(out / CHUNKS_TEXT_NAME, chunk_text_bytes)
-    _write_atomic(out / EMBEDDINGS_NAME, embedding_bytes)
-    _write_atomic(out / MANIFEST_NAME, _dump_json(manifest))
+        for name in (COMMUNITIES_NAME, REPORTS_NAME, REPORT_EMBEDDINGS_NAME, "eval_report.json", "eval_report.txt"):
+            (out / name).unlink(missing_ok=True)
+    manifest = _publish(out, files, manifest)
     log.info(
         "indexed %d documents into %s: %d chunks, %d nodes, %d edges",
         len(documents), out, graph.chunk_count, graph.node_count, graph.edge_count,
@@ -322,12 +328,17 @@ def read_manifest(index_dir: Path) -> dict:
 
 
 def _verified_bytes(index_dir: Path, name: str, manifest: dict) -> bytes:
+    """The bytes of artifact ``name``, which must match its digest in
+    ``manifest``. Every stage that writes an artifact records its digest, so
+    a missing digest is refused, not taken as a pass."""
     path = Path(index_dir) / name
     if not path.is_file():
         raise ConfigError(f"index at {index_dir} is missing {name}; rebuild with --force")
-    data = path.read_bytes()
     expected = manifest["artifacts"].get(name)
-    if expected and _sha256(data) != expected:
+    if expected is None:
+        raise GraphFormatError(f"{Path(index_dir) / MANIFEST_NAME}: no digest for {name}; rebuild with --force")
+    data = path.read_bytes()
+    if _sha256(data) != expected:
         raise GraphFormatError(f"{path}: content does not match the manifest digest; rebuild with --force")
     return data
 
@@ -343,15 +354,16 @@ def load_index_graph(index_dir: Path) -> tuple[KnowledgeGraph, dict]:
     return graph, manifest
 
 
-def _load_embeddings(index_dir: Path, manifest: dict, chunk_ids: list[str]) -> VectorStore:
-    """Read embeddings.npy into a chunk store whose row i is ``chunk_ids[i]``.
+def _load_matrix(index_dir: Path, manifest: dict, name: str, rows: int, what: str) -> np.ndarray:
+    """Read the ``.npy`` artifact ``name`` as a matrix of ``rows`` rows, one
+    for each of ``what`` (say, "chunks of chunks.jsonl").
 
     The header is checked before any data is touched: a version 1.0 file
-    holding a C-ordered little-endian float64 matrix with one row per chunk,
+    holding a C-ordered little-endian float64 matrix with ``rows`` rows,
     followed by exactly the bytes that shape needs. So a corrupt shape can
-    never size an allocation and nothing is ever unpickled. The rows are a
+    never size an allocation and nothing is ever unpickled. The matrix is a
     read-only view of the file's bytes, and every value must be finite."""
-    data = _verified_bytes(index_dir, EMBEDDINGS_NAME, manifest)
+    data = _verified_bytes(index_dir, name, manifest)
     buffer = io.BytesIO(data)
     try:
         version = np.lib.format.read_magic(buffer)
@@ -359,28 +371,22 @@ def _load_embeddings(index_dir: Path, manifest: dict, chunk_ids: list[str]) -> V
             raise ValueError(f"format version {version}, expected (1, 0)")
         shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(buffer)
     except ValueError as exc:
-        raise GraphFormatError(f"{EMBEDDINGS_NAME}: malformed .npy header ({exc})") from exc
+        raise GraphFormatError(f"{name}: malformed .npy header ({exc})") from exc
     if dtype != np.dtype("<f8") or fortran_order or len(shape) != 2:
         raise GraphFormatError(
-            f"{EMBEDDINGS_NAME}: holds a {dtype.str} array of shape {shape}"
+            f"{name}: holds a {dtype.str} array of shape {shape}"
             f"{' in Fortran order' if fortran_order else ''}, not a C-ordered <f8 matrix"
         )
-    if shape[0] != len(chunk_ids):
-        raise GraphFormatError(
-            f"{EMBEDDINGS_NAME}: {shape[0]} rows for the {len(chunk_ids)} chunks of {CHUNKS_NAME}; "
-            "rebuild with --force"
-        )
+    if shape[0] != rows:
+        raise GraphFormatError(f"{name}: {shape[0]} rows for the {rows} {what}; rebuild with --force")
     offset, size = buffer.tell(), shape[0] * shape[1] * dtype.itemsize
     if len(data) - offset != size:
-        raise GraphFormatError(
-            f"{EMBEDDINGS_NAME}: {len(data) - offset} data bytes where shape {shape} needs {size}"
-        )
+        raise GraphFormatError(f"{name}: {len(data) - offset} data bytes where shape {shape} needs {size}")
     matrix = np.frombuffer(data, dtype=dtype, count=shape[0] * shape[1], offset=offset).reshape(shape)
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
-        row = int(np.argmin(finite))
-        raise GraphFormatError(f"{EMBEDDINGS_NAME}: row {row} ({chunk_ids[row]}) holds a non-finite value")
-    return VectorStore.from_matrix(chunk_ids, matrix)
+        raise GraphFormatError(f"{name}: row {int(np.argmin(finite))} holds a non-finite value")
+    return matrix
 
 
 # -- cluster stage --------------------------------------------------------------------
@@ -419,9 +425,12 @@ def run_clustering(
     force: bool = False,
     index_dir: Path | None = None,
 ) -> dict:
-    """Cluster an existing index and write communities + reports, then bind
-    them to the index by rewriting its manifest with their digests and the
-    digest of the graph they were clustered from."""
+    """Cluster an existing index and write communities, reports and report
+    embeddings, then bind them to the index by rewriting its manifest with
+    their digests and the digest of the graph they were clustered from.
+
+    The report summaries are embedded in one batch. Embedding failures are
+    not swallowed: retrieval cannot use an unembedded report."""
     out = Path(index_dir) if index_dir is not None else cfg.index_dir
     if (out / COMMUNITIES_NAME).exists() and not force:
         raise ConfigError(f"communities already exist at {out}; pass --force to recluster")
@@ -430,21 +439,15 @@ def run_clustering(
     communities = build_communities(cfg, graph)
 
     chat = clients.chat if cfg.clients.mode == "http" else None
-    reports = [generate_report(c, graph, chat, clients.embed) for c in communities]
+    reports = [generate_report(c, graph, chat) for c in communities]
 
-    community_bytes, report_bytes = save_communities(
-        communities, reports, cfg.clustering.params, cfg.clients.embed_dim
-    )
-    artifacts = manifest["artifacts"]
-    manifest = dict(
-        manifest,
-        artifacts={**artifacts, COMMUNITIES_NAME: _sha256(community_bytes), REPORTS_NAME: _sha256(report_bytes)},
-        clustered_from=artifacts.get(GRAPH_NAME),
-    )
-    _write_atomic(out / COMMUNITIES_NAME, community_bytes)
-    _write_atomic(out / REPORTS_NAME, report_bytes)
-    # the manifest goes last: until it lands, the old one rejects the new files
-    _write_atomic(out / MANIFEST_NAME, _dump_json(manifest))
+    community_bytes, report_bytes = save_communities(communities, reports, cfg.clustering.params)
+    files = {
+        COMMUNITIES_NAME: community_bytes,
+        REPORTS_NAME: report_bytes,
+        REPORT_EMBEDDINGS_NAME: _embeddings_bytes([r.summary for r in reports], clients.embed, cfg.clients.embed_dim),
+    }
+    _publish(out, files, dict(manifest, clustered_from=manifest["artifacts"][GRAPH_NAME]))
 
     by_dimension: dict[str, int] = {}
     for c in communities:
@@ -478,18 +481,17 @@ _REPORT_SECTIONS = (
         ("dimension", strs, "a string"),
         ("entities", str_lists, "a list of strings"),
         ("relations", str_lists, "a list of strings"),
-        ("embedding", lists_of(floats), "a list of floats"),
         ("source_chunks", str_lists, "a list of strings"),
     )),
 )
 
 
-def save_communities(communities: list[Community], reports: list[CommunityReport], params: ClusterParams,
-                     dim: int) -> tuple[bytes, bytes]:
+def save_communities(communities: list[Community], reports: list[CommunityReport],
+                     params: ClusterParams) -> tuple[bytes, bytes]:
     """The bytes of ``communities.jsonl`` and of ``reports.jsonl``: each a
     meta record, then one record of columns whose row i describes
-    ``communities[i]`` and ``reports[i]``. ``dim`` is the report embedding
-    width, which the reports' meta carries even when there are none."""
+    ``communities[i]`` and ``reports[i]``. The report embeddings are not
+    among them; ``run_clustering`` writes them to report_embeddings.npy."""
     community_meta = {"kind": "meta", "format_version": FORMAT_VERSION, "count": len(communities),
                       "params": dataclasses.asdict(params)}
     community_columns = {
@@ -501,7 +503,7 @@ def save_communities(communities: list[Community], reports: list[CommunityReport
         "completed_members": [sorted(c.completed_members) for c in communities],
         "internal_edges": [c.internal_edges for c in communities],
     }
-    report_meta = {"kind": "meta", "format_version": FORMAT_VERSION, "count": len(reports), "dimension": dim}
+    report_meta = {"kind": "meta", "format_version": FORMAT_VERSION, "count": len(reports)}
     keys = [field.name for field in dataclasses.fields(CommunityReport)]
     report_columns = {"kind": "reports", **{key: [getattr(r, key) for r in reports] for key in keys}}
     return dump_jsonl([community_meta, community_columns]), dump_jsonl([report_meta, report_columns])
@@ -509,14 +511,15 @@ def save_communities(communities: list[Community], reports: list[CommunityReport
 
 def load_communities(index_dir: Path, manifest: dict) -> tuple[list[Community], np.ndarray]:
     """The communities of communities.jsonl, and the report embeddings of
-    reports.jsonl as one ``(count, dimension)`` float64 matrix whose row i
-    belongs to community i: no report is built, as retrieval reads only
-    the embeddings. Both files must match their digests in ``manifest``,
-    which must record that they were clustered from its graph.jsonl. Beyond
-    ``records.read_columns``' checks, the community ids are exactly 0 to
-    count - 1, each community's members are a non-empty subset of its
-    completed members, the reports' ``community_id`` column equals the ``id``
-    column, and every embedding is ``dimension`` finite floats.
+    report_embeddings.npy as one ``(count, dimension)`` float64 matrix whose
+    row i belongs to community i: no report is built, as retrieval reads
+    only the embeddings. All three files must match their digests in
+    ``manifest``, which must record that they were clustered from its
+    graph.jsonl. Beyond ``records.read_columns``' checks, the community ids
+    are exactly 0 to count - 1, each community's members are a non-empty
+    subset of its completed members, the reports' ``community_id`` column
+    equals the ``id`` column, and the matrix passes ``_load_matrix`` with a
+    row per community.
     """
     out = Path(index_dir)
     if not all((out / name).is_file() for name in (COMMUNITIES_NAME, REPORTS_NAME)):
@@ -540,20 +543,10 @@ def load_communities(index_dir: Path, manifest: dict) -> tuple[list[Community], 
         raise GraphFormatError(f"{where}: column 'members' is empty or not within 'completed_members' in row {bad}")
 
     data = _verified_bytes(out, REPORTS_NAME, manifest)
-    meta, [(community_ids, *_, embeddings, _)] = read_columns(data, REPORTS_NAME, _REPORT_SECTIONS)
-    dim, where = meta_int(meta, "dimension", REPORTS_NAME), f"{REPORTS_NAME}:2"
+    _, [(community_ids, *_)] = read_columns(data, REPORTS_NAME, _REPORT_SECTIONS)
     if community_ids != ids:
-        raise GraphFormatError(f"{where}: column 'community_id' is not the 'id' column of {COMMUNITIES_NAME}")
-    bad = next((row for row, vector in enumerate(embeddings) if len(vector) != dim), None)
-    if bad is not None:
-        raise GraphFormatError(
-            f"{where}: column 'embedding' has {len(embeddings[bad])} dimensions in row {bad}, "
-            f"the meta dimension is {dim}"
-        )
-    matrix = np.array(embeddings, dtype=np.float64).reshape(len(embeddings), dim)
-    finite = np.isfinite(matrix).all(axis=1)
-    if not finite.all():
-        raise GraphFormatError(f"{where}: column 'embedding' holds a non-finite value in row {finite.argmin()}")
+        raise GraphFormatError(f"{REPORTS_NAME}:2: column 'community_id' is not the 'id' column of {COMMUNITIES_NAME}")
+    matrix = _load_matrix(out, manifest, REPORT_EMBEDDINGS_NAME, len(ids), f"communities of {COMMUNITIES_NAME}")
 
     internal_edges = [tuple(map(tuple, keys)) for keys in edges]
     return list(map(Community, ids, dimensions, members, completed, internal_edges, labels)), matrix
@@ -590,7 +583,10 @@ def load_bundle(cfg: PipelineConfig, index_dir: Path | None = None) -> IndexBund
     out = Path(index_dir) if index_dir is not None else cfg.index_dir
     graph, manifest = load_index_graph(out)
     _check_provenance(out, graph)
-    chunk_store = _load_embeddings(out, manifest, graph.chunk_ids())
+    chunk_ids = graph.chunk_ids()
+    chunk_store = VectorStore.from_matrix(
+        chunk_ids, _load_matrix(out, manifest, EMBEDDINGS_NAME, len(chunk_ids), f"chunks of {CHUNKS_NAME}")
+    )
     communities, report_embeddings = load_communities(out, manifest)
     dims = {chunk_store.dim, report_embeddings.shape[1]}
     if dims != {cfg.clients.embed_dim}:

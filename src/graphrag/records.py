@@ -22,7 +22,7 @@ from typing import Callable, Iterable
 
 from .errors import GraphFormatError
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -381,20 +381,7 @@ def rerank_select(
         log.warning("rerank failed (%s); falling back to fused ordering", exc)
         ordered = sorted(candidates, key=lambda c: (-c.fused, c.chunk_id))
         return ordered[:k], True
-    rescored = [
-        RetrievalResult(
-            chunk_id=c.chunk_id,
-            document_id=c.document_id,
-            text=c.text,
-            s_graph=c.s_graph,
-            s_comm=c.s_comm,
-            s_vector=c.s_vector,
-            fused=c.fused,
-            rerank_score=float(score),
-            provenance=c.provenance,
-        )
-        for c, score in zip(candidates, scores)
-    ]
+    rescored = [replace(c, rerank_score=float(score)) for c, score in zip(candidates, scores)]
     rescored.sort(key=lambda c: (-c.rerank_score, -c.fused, c.chunk_id))
     return rescored[:k], False
 

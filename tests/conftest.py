@@ -4,6 +4,7 @@ HTTP server for the http-mode clients."""
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -120,8 +121,9 @@ def _with_value(matrix: np.ndarray, value: float) -> np.ndarray:
     return matrix
 
 
-# Ways to break an embeddings.npy file, each a function of the file's bytes
-# and the matrix it holds.
+# Ways to break a .npy embedding matrix (embeddings.npy or
+# report_embeddings.npy), each a function of the file's bytes and the matrix
+# it holds.
 EMBEDDING_CORRUPTIONS = {
     "truncated": lambda data, m: data[:-8],
     "trailing-bytes": lambda data, m: data + bytes(8),
@@ -140,23 +142,33 @@ EMBEDDING_CORRUPTIONS = {
     "inf": lambda data, m: npy_bytes(_with_value(m, -np.inf)),
 }
 
+# The two .npy matrices of an index, with the id prefix of their cases in
+# tests parametrized over both: the chunk matrix keeps the bare case names.
+MATRICES = {"embeddings.npy": "", "report_embeddings.npy": "report-"}
 
-def drop_digests(index_dir: Path, *names: str) -> None:
-    """Remove the manifest digests of ``names``, so an edit to those files
-    meets the loader's own checks rather than the digest check."""
+
+def matrix_cases(cases) -> list:
+    """``pytest.param(name, case)`` for each matrix and each of ``cases``."""
+    return [pytest.param(name, case, id=prefix + case) for name, prefix in MATRICES.items() for case in cases]
+
+
+def redigest(index_dir: Path, *names: str) -> None:
+    """Record the current digests of ``names`` in the manifest, so an edit
+    to those files meets the loader's own checks rather than the digest
+    check."""
     manifest = json.loads((index_dir / "manifest.json").read_text("utf-8"))
     for name in names:
-        del manifest["artifacts"][name]
+        manifest["artifacts"][name] = hashlib.sha256((index_dir / name).read_bytes()).hexdigest()
     (index_dir / "manifest.json").write_text(json.dumps(manifest), "utf-8")
 
 
-def corrupt_embeddings(index_dir: Path, case: str) -> None:
-    """Break ``index_dir``'s embeddings.npy as ``case`` names and drop its
-    manifest digest."""
-    path = index_dir / "embeddings.npy"
+def corrupt_embeddings(index_dir: Path, name: str, case: str) -> None:
+    """Break ``index_dir``'s matrix ``name`` as ``case`` names and record
+    its new digest."""
+    path = index_dir / name
     data = path.read_bytes()
     path.write_bytes(EMBEDDING_CORRUPTIONS[case](data, np.load(path)))
-    drop_digests(index_dir, "embeddings.npy")
+    redigest(index_dir, name)
 
 
 def random_graph(

@@ -312,7 +312,7 @@ def test_criterion_8_end_to_end_determinism(tmp_path):
 
         artifacts = [
             "graph.jsonl", "chunks.jsonl", "chunks.txt", "embeddings.npy",
-            "communities.jsonl", "reports.jsonl",
+            "communities.jsonl", "reports.jsonl", "report_embeddings.npy",
             "eval_report.json", "eval_report.txt",
         ]
         for name in artifacts:

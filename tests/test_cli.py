@@ -15,7 +15,7 @@ import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import FIXTURES, corrupt_embeddings, drop_digests, set_config_value
+from conftest import FIXTURES, corrupt_embeddings, matrix_cases, redigest, set_config_value
 from graphrag.cli import main
 
 MUSEUM = FIXTURES / "museum"
@@ -323,7 +323,7 @@ class TestRetrieveCommand:
         chunks.write_text(json.dumps(meta) + "\n" + json.dumps(record) + "\n", "utf-8")
         texts = index / "chunks.txt"
         texts.write_bytes(texts.read_bytes().decode("utf-8")[:start].encode("utf-8"))
-        drop_digests(index, "chunks.jsonl", "chunks.txt")
+        redigest(index, "chunks.jsonl", "chunks.txt")
         capsys.readouterr()
         assert run(["retrieve", "--config", cfg, "--query", "warring states artifacts"]) == 1
         captured = capsys.readouterr()
@@ -346,7 +346,7 @@ class TestRetrieveCommand:
         assert run(["retrieve", "--config", cfg, "--query", "warring states artifacts"]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {path}: content does not match the manifest digest; rebuild with --force\n"
-        drop_digests(workspace / "index", "communities.jsonl")
+        redigest(workspace / "index", "communities.jsonl")
         assert run(["retrieve", "--config", cfg, "--query", "warring states artifacts"]) == 1
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
@@ -355,18 +355,19 @@ class TestRetrieveCommand:
         assert "Traceback" not in captured.err + captured.out
 
     @pytest.mark.parametrize(
-        "case", ["truncated", "bad-header", "object-dtype", "pickle", "extra-row", "wrong-dimension", "nan"]
+        "name,case",
+        matrix_cases(["truncated", "bad-header", "object-dtype", "pickle", "extra-row", "wrong-dimension", "nan"]),
     )
-    def test_malformed_embeddings_is_a_clean_error(self, museum_index, tmp_path, capsys, case):
+    def test_malformed_embeddings_is_a_clean_error(self, museum_index, tmp_path, capsys, name, case):
         index = tmp_path / "index"
         shutil.copytree(museum_index, index)
-        corrupt_embeddings(index, case)
+        corrupt_embeddings(index, name, case)
         args = ["retrieve", "--config", MUSEUM / "config.yaml", "--index", index, "--query", "warring states"]
         assert run(args) == 1
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
-        assert ("3- and 64-dimensional" if case == "wrong-dimension" else "embeddings.npy") in lines[0]
+        assert ("3- and 64-dimensional" if case == "wrong-dimension" else f"error: {name}: ") in lines[0]
         assert "Traceback" not in captured.err + captured.out
 
     def test_format_1_index_is_a_clean_error(self, museum_index, tmp_path, capsys):
@@ -435,16 +436,24 @@ class TestRetrieveCommand:
 
     def test_format_3_index_is_a_clean_error(self, museum_index, tmp_path, capsys):
         """An index in the third format, with one graph.jsonl record per node
-        and per edge, or in the fourth, with one record per community and per
-        report, is refused with a hint to rebuild it."""
+        and per edge, in the fourth, with one record per community and per
+        report, or in the fifth, with the report embeddings as a column of
+        reports.jsonl, is refused with a hint to rebuild it."""
         # the files each format stored as one record per row, and those kinds
         row_records = {3: {"graph.jsonl": ("node", "edge")},
-                       4: {"communities.jsonl": ("community",), "reports.jsonl": ("report",)}}
+                       4: {"communities.jsonl": ("community",), "reports.jsonl": ("report",)},
+                       5: {}}
         for version, exploded in row_records.items():
             index = tmp_path / f"index{version}"
             shutil.copytree(museum_index, index)
+            # before format 6, reports.jsonl held the report embeddings
+            report_embeddings = np.load(index / "report_embeddings.npy")
+            (index / "report_embeddings.npy").unlink()
             for name in ("graph.jsonl", "chunks.jsonl", "communities.jsonl", "reports.jsonl"):
                 meta, *tables = map(json.loads, (index / name).read_text("utf-8").splitlines())
+                if name == "reports.jsonl":
+                    meta["dimension"] = report_embeddings.shape[1]
+                    tables[0]["embedding"] = report_embeddings.tolist()
                 records = [{**meta, "format_version": version}]
                 if name not in exploded:
                     records += tables
@@ -454,6 +463,7 @@ class TestRetrieveCommand:
                 (index / name).write_bytes("".join(json.dumps(r) + "\n" for r in records).encode("utf-8"))
             manifest = json.loads((index / "manifest.json").read_text("utf-8"))
             manifest["format_version"] = version
+            del manifest["artifacts"]["report_embeddings.npy"]
             for name in manifest["artifacts"]:
                 manifest["artifacts"][name] = hashlib.sha256((index / name).read_bytes()).hexdigest()
             manifest["clustered_from"] = manifest["artifacts"]["graph.jsonl"]
@@ -475,8 +485,9 @@ class TestRetrieveCommand:
             (lambda m: m.pop("artifacts"), NOT_A_MAP),
             (lambda m: m["artifacts"].update({"graph.jsonl": 5}), NOT_A_MAP),
             (lambda m: m.update(clustered_from=5), "clustered_from is not a digest string"),
+            (lambda m: m["artifacts"].pop("embeddings.npy"), "no digest for embeddings.npy; rebuild with --force"),
         ],
-        ids=["artifacts-list", "artifacts-missing", "digest-int", "clustered-from-int"],
+        ids=["artifacts-list", "artifacts-missing", "digest-int", "clustered-from-int", "digest-missing"],
     )
     def test_malformed_manifest_is_a_clean_error(self, museum_index, tmp_path, capsys, edit, says):
         index = tmp_path / "index"
@@ -495,11 +506,10 @@ class TestRetrieveCommand:
         [
             ("graph.jsonl", 3, lambda r: r["weight"].__setitem__(0, math.nan), "column 'weight'"),
             ("graph.jsonl", 2, lambda r: r["id"].__setitem__(1, True), "column 'id'"),
-            ("reports.jsonl", 2, lambda r: r["embedding"][0].__setitem__(0, math.nan), "non-finite"),
             ("reports.jsonl", 2, lambda r: r["entities"].__setitem__(0, "Sword"), "column 'entities'"),
             ("reports.jsonl", 2, lambda r: r["title"].__setitem__(0, 5), "column 'title'"),
         ],
-        ids=["graph-weight-nan", "graph-id-bool", "report-embedding-nan", "report-entities-str", "report-title-int"],
+        ids=["graph-weight-nan", "graph-id-bool", "report-entities-str", "report-title-int"],
     )
     def test_malformed_artifact_value_is_a_clean_error(self, museum_index, tmp_path, capsys, name, line, edit, says):
         index = tmp_path / "index"
@@ -509,7 +519,7 @@ class TestRetrieveCommand:
         edit(record)
         lines[line - 1] = json.dumps(record)
         (index / name).write_text("\n".join(lines) + "\n", "utf-8")
-        drop_digests(index, name)
+        redigest(index, name)
         args = ["retrieve", "--json", "--config", MUSEUM / "config.yaml", "--index", index, "--query", "warring states"]
         assert run(args) == 1
         captured = capsys.readouterr()

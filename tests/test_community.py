@@ -396,7 +396,6 @@ class TestReports:
         assert "- Sword -HousedIn-> Museum" in report.summary
         assert "- era=han: 1" in report.summary
         assert report.source_chunks == ("d@00000000",)
-        assert len(report.embedding) > 0
 
     def test_chat_title_used(self):
         g, a, b = self.graph()

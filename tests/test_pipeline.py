@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import re
 import shutil
@@ -17,12 +16,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import EMBEDDING_CORRUPTIONS, corrupt_embeddings, drop_digests
+from conftest import EMBEDDING_CORRUPTIONS, corrupt_embeddings, matrix_cases, npy_bytes, redigest
 from graphrag.community import ClusterParams, Community, CommunityReport
 from graphrag.config import load_config
 from graphrag.embedding import HashingEmbedder
 from graphrag.errors import BenchmarkError, ConfigError, GraphFormatError, IndexingError
 from graphrag.pipeline import (
+    _embeddings_bytes,
     build_communities,
     build_index,
     load_bundle,
@@ -151,6 +151,7 @@ class TestBuildIndex:
         build_index(museum_cfg, force=True, index_dir=out)
         assert not (out / "communities.jsonl").exists()
         assert not (out / "reports.jsonl").exists()
+        assert not (out / "report_embeddings.npy").exists()
         assert not (out / "eval_report.json").exists()
         manifest = read_manifest(out)
         assert set(manifest["artifacts"]) == {"graph.jsonl", "chunks.jsonl", "chunks.txt", "embeddings.npy"}
@@ -219,12 +220,6 @@ def _repeat_record(lines):
     return [lines[0], lines[1], *lines[1:]]
 
 
-def _short_vector(lines):
-    record = json.loads(lines[1])
-    record["embedding"][0] = record["embedding"][0][:3]
-    return [lines[0], json.dumps(record), *lines[2:]]
-
-
 def _chunk_record(lines):
     # a chunk record whose id collides with a chunk of chunks.jsonl
     chunk_id = next(c for chunks in json.loads(lines[1])["source_chunks"] for c in chunks)
@@ -244,9 +239,6 @@ ARTIFACTS = ["graph.jsonl", "chunks.jsonl", "communities.jsonl", "reports.jsonl"
 # an edit of row 0 of its record of columns, what the error must say after
 # the line).
 CLUSTER_VALUES = {
-    "embedding-nan": ("reports.jsonl", lambda r: r["embedding"][0].__setitem__(1, math.nan), "non-finite"),
-    "embedding-infinite": ("reports.jsonl", lambda r: r["embedding"][0].__setitem__(0, -math.inf), "non-finite"),
-    "embedding-bool": ("reports.jsonl", lambda r: r["embedding"][0].__setitem__(0, True), "not a list of floats"),
     "community-id-bool": ("reports.jsonl", lambda r: r["community_id"].__setitem__(0, False),
                           "column 'community_id' holds False"),
     "id-float": ("communities.jsonl", lambda r: r["id"].__setitem__(0, 0.0), "column 'id' holds 0.0"),
@@ -276,30 +268,29 @@ CLUSTER_VALUES = {
 
 class TestArtifactFormat:
     """Every .jsonl artifact goes through one parser: with its manifest
-    digest dropped, a missing or wrong-version meta record, a blank line, a
+    digest renewed, a missing or wrong-version meta record, a blank line, a
     truncated last line, a record missing a field, a repeated record, a
-    report vector of the wrong length, a chunk record in graph.jsonl or a
-    community member that is not a graph node is a GraphFormatError naming
-    the file (and, for a bad record, its line)."""
+    chunk record in graph.jsonl or a community member that is not a graph
+    node is a GraphFormatError naming the file (and, for a bad record, its
+    line)."""
 
     @pytest.mark.parametrize(
         "name,corrupt",
         [(name, corrupt)
          for corrupt in (_drop_meta, _bump_version, _blank_line, _truncate, _drop_field, _repeat_record)
          for name in ARTIFACTS]
-        + [("reports.jsonl", _short_vector),
-           ("graph.jsonl", _chunk_record), ("communities.jsonl", _unknown_member)],
+        + [("graph.jsonl", _chunk_record), ("communities.jsonl", _unknown_member)],
     )
     def test_corrupt_artifact_names_the_file(self, museum_cfg, museum_index, tmp_path, name, corrupt):
         out = tmp_path / "idx"
         shutil.copytree(museum_index, out)
-        drop_digests(out, name)
         lines = (out / name).read_text("utf-8").splitlines()
         (out / name).write_text("\n".join(corrupt(lines)) + "\n", "utf-8")
+        redigest(out, name)
         with pytest.raises(GraphFormatError, match=re.escape(name)) as info:
             load_bundle(museum_cfg, out)
         assert "digest" not in str(info.value)
-        if corrupt in (_drop_field, _short_vector, _unknown_member):
+        if corrupt in (_drop_field, _unknown_member):
             assert f"{name}:2: " in str(info.value)
         if corrupt is _chunk_record:
             assert f"{name}:{len(lines) + 1}: " in str(info.value)
@@ -311,11 +302,11 @@ class TestArtifactFormat:
         name, edit, says = CLUSTER_VALUES[case]
         out = tmp_path / "idx"
         shutil.copytree(museum_index, out)
-        drop_digests(out, name)
         meta, first, *rest = (out / name).read_text("utf-8").splitlines()
         record = json.loads(first)
         edit(record)
         (out / name).write_text("\n".join([meta, json.dumps(record), *rest]) + "\n", "utf-8")
+        redigest(out, name)
         with pytest.raises(GraphFormatError, match=re.escape(f"{name}:2: ")) as info:
             load_bundle(museum_cfg, out)
         assert says in str(info.value)
@@ -323,11 +314,12 @@ class TestArtifactFormat:
     def test_index_without_communities_loads(self, museum_cfg, museum_index, tmp_path):
         out = tmp_path / "idx"
         shutil.copytree(museum_index, out)
-        drop_digests(out, "communities.jsonl", "reports.jsonl")
         for name in ("communities.jsonl", "reports.jsonl"):
             meta, record = map(json.loads, (out / name).read_text("utf-8").splitlines())
             empty = {key: value if key == "kind" else [] for key, value in record.items()}
             (out / name).write_text(json.dumps({**meta, "count": 0}) + "\n" + json.dumps(empty) + "\n", "utf-8")
+        (out / "report_embeddings.npy").write_bytes(npy_bytes(np.zeros((0, museum_cfg.clients.embed_dim))))
+        redigest(out, "communities.jsonl", "reports.jsonl", "report_embeddings.npy")
         bundle = load_bundle(museum_cfg, out)
         assert bundle.communities == [] and len(bundle.report_store) == 0
         response = run_retrieve(museum_cfg, "warring states bronze", index_dir=out)
@@ -369,19 +361,19 @@ CHUNK_CORRUPTIONS = {
 
 class TestChunkColumns:
     """chunks.jsonl is a meta record and one record of four columns, whose
-    text_end cuts chunks.txt. With both digests dropped, each way of breaking
+    text_end cuts chunks.txt. With both digests renewed, each way of breaking
     the pair is a GraphFormatError naming the file it broke."""
 
     @pytest.mark.parametrize("case", sorted(CHUNK_CORRUPTIONS))
     def test_corrupt_chunks_are_rejected(self, museum_cfg, museum_index, tmp_path, case):
         out = tmp_path / "idx"
         shutil.copytree(museum_index, out)
-        drop_digests(out, "chunks.jsonl", "chunks.txt")
         meta, record = (out / "chunks.jsonl").read_text("utf-8").splitlines()
         blamed, corrupt = CHUNK_CORRUPTIONS[case]
         record, data = corrupt(json.loads(record), (out / "chunks.txt").read_bytes())
         (out / "chunks.jsonl").write_text(meta + "\n" + json.dumps(record) + "\n", "utf-8")
         (out / "chunks.txt").write_bytes(data)
+        redigest(out, "chunks.jsonl", "chunks.txt")
         with pytest.raises(GraphFormatError, match=re.escape(blamed)) as info:
             load_bundle(museum_cfg, out)
         assert "digest" not in str(info.value)
@@ -407,25 +399,27 @@ def test_every_artifact_is_digest_bound(museum_index):
 
 class TestEmbeddingsMatrix:
     """embeddings.npy is one little-endian float64 matrix, a row per chunk in
-    chunk id order. With its manifest digest dropped, each way of breaking
-    it is a GraphFormatError naming the file; a matrix of another width is
+    chunk id order, and report_embeddings.npy one with a row per community.
+    With its manifest digest renewed, each way of breaking either is a
+    GraphFormatError naming the file; a matrix of another width is
     indistinguishable from a changed clients.embed_dim, so it is the
     ConfigError that names both dimensions."""
 
-    @pytest.mark.parametrize("case", sorted(EMBEDDING_CORRUPTIONS))
-    def test_corrupt_matrix_is_rejected(self, museum_cfg, museum_index, tmp_path, case):
+    @pytest.mark.parametrize("name,case", matrix_cases(sorted(EMBEDDING_CORRUPTIONS)))
+    def test_corrupt_matrix_is_rejected(self, museum_cfg, museum_index, tmp_path, name, case):
         out = tmp_path / "idx"
         shutil.copytree(museum_index, out)
-        corrupt_embeddings(out, case)
+        corrupt_embeddings(out, name, case)
         if case == "wrong-dimension":
             with pytest.raises(ConfigError, match="3- and 64-dimensional"):
                 load_bundle(museum_cfg, out)
             return
-        with pytest.raises(GraphFormatError, match=re.escape("embeddings.npy")) as info:
+        with pytest.raises(GraphFormatError, match=re.escape(f"{name}: ")) as info:
             load_bundle(museum_cfg, out)
-        assert "digest" not in str(info.value)
+        assert str(info.value).startswith(f"{name}: ") and "digest" not in str(info.value)
         if case in ("extra-row", "missing-row"):
-            assert "rows for the 5 chunks" in str(info.value)
+            rows = "5 chunks of chunks.jsonl" if name == "embeddings.npy" else "5 communities of communities.jsonl"
+            assert f"rows for the {rows}" in str(info.value)
         if case in ("nan", "inf"):
             assert "row 1 " in str(info.value)
 
@@ -434,50 +428,67 @@ class TestEmbeddingsMatrix:
         chunk_ids = bundle.graph.chunk_ids()
         store = bundle.chunk_store
         assert [store.ref(row) for row in range(len(store))] == chunk_ids
-        want = HashingEmbedder(museum_cfg.clients.embed_dim).embed(
-            [bundle.graph.chunk(cid).text for cid in chunk_ids]
-        )
+        embedder = HashingEmbedder(museum_cfg.clients.embed_dim)
+        want = embedder.embed([bundle.graph.chunk(cid).text for cid in chunk_ids])
         assert np.array_equal(store._matrix, np.array(want))
+        # report row i embeds the summary of community i
+        _, record = map(json.loads, (museum_index / "reports.jsonl").read_text("utf-8").splitlines())
+        assert np.array_equal(bundle.report_store._matrix, np.array(embedder.embed(record["summary"])))
+
+
+class _Rows:
+    """An embedding client that returns fixed rows, whatever the texts."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def embed(self, texts):
+        assert len(texts) == len(self.rows)
+        return self.rows
 
 
 @st.composite
 def cluster_artifacts(draw):
-    """Communities with dense ids, one report each, and the report width."""
+    """Communities with dense ids, one report each, and a report embedding
+    matrix of a drawn width."""
     dim, nodes, text = draw(st.integers(0, 4)), st.integers(0, 40), st.text(max_size=6)
-    communities, reports = [], []
+    communities, reports, rows = [], [], []
     for i in range(draw(st.integers(0, 4))):
         members = draw(st.frozensets(nodes, min_size=1, max_size=4))
         completed = members | draw(st.frozensets(nodes, max_size=3))
         edges = tuple(draw(st.lists(st.tuples(nodes, nodes, text), max_size=3)))
         communities.append(Community(i, draw(text), members, completed, edges, draw(text)))
         strings = st.lists(text, max_size=3).map(tuple)
-        vector = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=dim, max_size=dim)
         reports.append(CommunityReport(
-            i, draw(text), draw(text), communities[-1].dimension, draw(strings), draw(strings),
-            tuple(draw(vector)), draw(strings),
+            i, draw(text), draw(text), communities[-1].dimension, draw(strings), draw(strings), draw(strings),
         ))
-    return communities, reports, dim
+        rows.append(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=dim, max_size=dim)))
+    return communities, reports, np.array(rows, dtype=np.float64).reshape(len(rows), dim)
 
 
 class TestClusterArtifacts:
-    """save_communities and load_communities are inverses: the communities
-    come back equal and the report embeddings bit-equal, in one matrix."""
+    """save_communities and _embeddings_bytes write what load_communities
+    reads: the communities come back equal and the report embeddings
+    bit-equal, in one matrix."""
 
     @given(cluster_artifacts())
-    @example(([], [], 64))
+    @example(([], [], np.zeros((0, 64))))
     @example(([Community(0, "", frozenset({3}), frozenset({3}))],
-              [CommunityReport(0, "", "", "", (), (), (), ())], 0))
+              [CommunityReport(0, "", "", "", (), (), ())], np.zeros((1, 0))))
     def test_save_load_round_trip(self, case):
-        communities, reports, dim = case
+        communities, reports, matrix = case
+        community_bytes, report_bytes = save_communities(communities, reports, ClusterParams())
+        files = {"communities.jsonl": community_bytes, "reports.jsonl": report_bytes}
+        summaries = [r.summary for r in reports]
+        files["report_embeddings.npy"] = _embeddings_bytes(summaries, _Rows(matrix.tolist()), matrix.shape[1])
+        manifest = {"artifacts": {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}}
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp)
-            for name, data in zip(("communities.jsonl", "reports.jsonl"),
-                                  save_communities(communities, reports, ClusterParams(), dim)):
+            for name, data in files.items():
                 (out / name).write_bytes(data)
-            loaded, embeddings = load_communities(out, {"artifacts": {}})
+            loaded, embeddings = load_communities(out, manifest)
         assert loaded == communities
-        want = np.array([r.embedding for r in reports], dtype=np.float64).reshape(len(reports), dim)
-        assert embeddings.shape == want.shape and embeddings.tobytes() == want.tobytes()
+        assert embeddings.shape == matrix.shape and embeddings.tobytes() == matrix.tobytes()
 
 
 class TestClustering:
@@ -491,6 +502,20 @@ class TestClustering:
         assert dims == {"topology", "attribute", "multihop"}
         assert report_embeddings.shape == (len(communities), museum_cfg.clients.embed_dim)
         assert [c.id for c in communities] == list(range(len(communities)))
+
+    def test_reports_are_embedded_in_one_batch(self, museum_cfg, museum_index, tmp_path, monkeypatch):
+        out = tmp_path / "idx"
+        shutil.copytree(museum_index, out)
+        batches, embed = [], HashingEmbedder.embed
+
+        def counted(self, texts):
+            batches.append(len(texts))
+            return embed(self, texts)
+
+        monkeypatch.setattr(HashingEmbedder, "embed", counted)
+        summary = run_clustering(museum_cfg, force=True, index_dir=out)
+        assert batches == [summary["communities"]]
+        assert (out / "report_embeddings.npy").read_bytes() == (museum_index / "report_embeddings.npy").read_bytes()
 
     def test_refuses_overwrite_without_force(self, museum_cfg, museum_index):
         with pytest.raises(ConfigError, match="--force"):
@@ -509,20 +534,19 @@ class TestClustering:
     def test_report_coverage_enforced(self, museum_cfg, museum_index, tmp_path):
         out = tmp_path / "idx"
         shutil.copytree(museum_index, out)
-        manifest = read_manifest(out)
-        del manifest["artifacts"]["reports.jsonl"]
         meta, record = map(json.loads, (out / "reports.jsonl").read_text().splitlines())
         for key, column in record.items():
             if key != "kind":
                 column.pop()
         meta["count"] -= 1
         (out / "reports.jsonl").write_text(json.dumps(meta) + "\n" + json.dumps(record) + "\n")
+        redigest(out, "reports.jsonl")
         with pytest.raises(GraphFormatError, match=r"reports\.jsonl:2: column 'community_id' is not the 'id' column"):
-            load_communities(out, manifest)
+            load_communities(out, read_manifest(out))
 
     def test_cluster_binds_its_artifacts(self, museum_index):
         manifest = read_manifest(museum_index)
-        for name in ("communities.jsonl", "reports.jsonl"):
+        for name in ("communities.jsonl", "reports.jsonl", "report_embeddings.npy"):
             digest = hashlib.sha256((museum_index / name).read_bytes()).hexdigest()
             assert manifest["artifacts"][name] == digest, name
         assert manifest["clustered_from"] == manifest["artifacts"]["graph.jsonl"]
@@ -542,7 +566,7 @@ class TestClustering:
         out = tmp_path / "idx"
         shutil.copytree(museum_index, out)
         build_index(museum_cfg, force=True, index_dir=out)
-        for name in ("communities.jsonl", "reports.jsonl"):
+        for name in ("communities.jsonl", "reports.jsonl", "report_embeddings.npy"):
             shutil.copyfile(museum_index / name, out / name)
         with pytest.raises(GraphFormatError, match="not clustered from .*rebuild with --force"):
             load_bundle(museum_cfg, out)
@@ -625,7 +649,7 @@ class TestAtomicWrites:
     artifact whole (its old or its new bytes); the index then loads as
     before or is rejected with GraphFormatError."""
 
-    REPLACES = {"index": 5, "cluster": 3, "eval": 2}
+    REPLACES = {"index": 5, "cluster": 4, "eval": 2}
 
     @staticmethod
     def rerun(stage, cfg, fixture, out, tmp_path):
@@ -674,7 +698,8 @@ class TestAtomicWrites:
             load_index_graph(out) if stage == "index" else load_bundle(museum_cfg, out)
         except GraphFormatError:
             return
-        artifacts = ("graph.jsonl", "chunks.jsonl", "chunks.txt", "embeddings.npy", "communities.jsonl", "reports.jsonl")
+        artifacts = ("graph.jsonl", "chunks.jsonl", "chunks.txt", "embeddings.npy",
+                     "communities.jsonl", "reports.jsonl", "report_embeddings.npy")
         for name in artifacts:
             if (out / name).exists():
                 assert (out / name).read_bytes() == before[name], name
