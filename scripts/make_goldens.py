@@ -89,10 +89,12 @@ def exhaustive_best(graph, alpha: float) -> tuple[float, list[tuple[int, ...]]]:
 
 
 def main() -> int:
-    cfg = load_config(FIXTURE / "config.yaml")
-    scratch = Path(tempfile.mkdtemp(prefix="museum-golden-"))
-    index_dir = scratch / "index"
+    with tempfile.TemporaryDirectory(prefix="museum-golden-") as scratch:
+        return freeze(load_config(FIXTURE / "config.yaml"), Path(scratch) / "index")
 
+
+def freeze(cfg, index_dir: Path) -> int:
+    """Run every stage into ``index_dir`` and write the goldens from it."""
     manifest = build_index(cfg, index_dir=index_dir)
     cluster_summary = run_clustering(cfg, index_dir=index_dir)
     report = run_eval(cfg, FIXTURE / "benchmark.json", index_dir=index_dir)
@@ -146,7 +148,6 @@ def main() -> int:
         json.dumps(summary, indent=2, sort_keys=True) + "\n", "utf-8"
     )
     print(f"golden artifacts written to {GOLDEN}")
-    shutil.rmtree(scratch)
     return 0
 
 

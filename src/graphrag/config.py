@@ -99,9 +99,19 @@ class PipelineConfig:
 
 
 def _require_keys(section: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a mapping, got {type(section).__name__}")
     unknown = set(section) - allowed
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown, key=str)}")
+
+
+def _yaml_problem(exc: yaml.YAMLError) -> str:
+    """One line for a YAML error: its problem (a ReaderError's reason) and
+    the 1-based line of the problem when the parser marked one."""
+    problem = getattr(exc, "problem", None) or getattr(exc, "reason", None) or type(exc).__name__
+    mark = getattr(exc, "problem_mark", None)
+    return problem if mark is None else f"{problem}, line {mark.line + 1}"
 
 
 def _shown(value: object) -> str:
@@ -222,8 +232,10 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = yaml.load(path.read_text("utf-8"), Loader=_SafeLoader)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: invalid YAML ({exc})") from exc
+        raise ConfigError(f"{path}: invalid YAML ({_yaml_problem(exc)})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config root must be a mapping")
     _require_keys(raw, _TOP_KEYS, str(path))

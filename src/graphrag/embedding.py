@@ -12,7 +12,6 @@ import logging
 import math
 import os
 from abc import ABC, abstractmethod
-from collections import Counter
 from functools import lru_cache
 from typing import Sequence
 
@@ -63,10 +62,9 @@ def _row_dots(rows: np.ndarray, other: np.ndarray) -> np.ndarray:
     return np.matmul(rows[:, None, :], other[..., :, None]).reshape(len(rows))
 
 
-def top_rows(scores: np.ndarray, ref_rank: np.ndarray, k: int) -> np.ndarray:
-    """Rows of the ``k`` best ``scores``, ordered by (score desc, ref rank
-    asc): the first ``k`` of ``np.lexsort((ref_rank, -scores))``. Only the
-    rows scoring at least the k-th best score are sorted."""
+def top_rows(scores: np.ndarray, k: int) -> np.ndarray:
+    """Rows of the ``k`` best ``scores``, ordered by (score desc, row asc).
+    Only the rows scoring at least the k-th best score are sorted."""
     if k <= 0:
         return np.zeros(0, dtype=np.int64)
     if k < len(scores):
@@ -74,7 +72,7 @@ def top_rows(scores: np.ndarray, ref_rank: np.ndarray, k: int) -> np.ndarray:
         rows = np.flatnonzero(scores >= np.partition(scores, kth)[kth])
     else:
         rows = np.arange(len(scores))
-    return rows[np.lexsort((ref_rank[rows], -scores[rows]))[:k]]
+    return rows[np.argsort(-scores[rows], kind="stable")[:k]]
 
 
 class EmbeddingClient(ABC):
@@ -150,53 +148,31 @@ class TokenOverlapReranker(RerankClient):
 
 
 class VectorStore:
-    """Read-only exact cosine store: row i of one float64 matrix under ref i.
+    """Read-only exact cosine store over the rows of one float64 matrix.
 
-    ``from_matrix`` is the only constructor; a store never changes after it.
-    ``similarities`` scores every row with one stacked ``np.matmul`` of
-    1×dim by dim×1 products. numpy sends each of those vector·vector
-    products through the dot kernel that ``np.dot(query, row)`` uses, so
-    every score is bit-identical to ``cosine`` and equal rows tie exactly
-    wherever they sit. A plain mat-vec (``M @ q``), ``einsum`` or
-    ``(M * q).sum(1)`` reduces in another order and changes low bits, which
-    would break the ref tie-break of ``top_rows``.
+    The store knows rows only: a chunk store's row i is chunk
+    ``KnowledgeGraph.chunk_ids()[i]`` and a report store's row i is
+    community i, so row order is id order. ``similarities`` scores every
+    row with one stacked ``np.matmul`` of 1×dim by dim×1 products. numpy
+    sends each of those vector·vector products through the dot kernel that
+    ``np.dot(query, row)`` uses, so every score is bit-identical to
+    ``cosine`` and equal rows tie exactly wherever they sit. A plain
+    mat-vec (``M @ q``), ``einsum`` or ``(M * q).sum(1)`` reduces in another
+    order and changes low bits, which would break the row tie-break of
+    ``top_rows``.
     """
 
-    @classmethod
-    def from_matrix(cls, refs: Sequence[str], matrix: np.ndarray) -> "VectorStore":
-        """A store whose row i is ``matrix[i]`` under ``refs[i]``. A C-ordered
-        float64 matrix is adopted as it is, not copied."""
+    def __init__(self, matrix: np.ndarray):
+        """Adopt ``matrix``; a C-ordered float64 matrix is not copied."""
         rows = np.ascontiguousarray(matrix, dtype=np.float64)
-        if rows.ndim != 2 or len(rows) != len(refs):
-            raise ValueError(f"matrix of shape {rows.shape} does not hold {len(refs)} rows")
-        by_ref = {ref: i for i, ref in enumerate(refs)}
-        if len(by_ref) != len(refs):
-            dupes = sorted(ref for ref, count in Counter(refs).items() if count > 1)
-            raise ValueError(f"duplicate refs {dupes[:3]}")
-        store = cls.__new__(cls)
-        store.dim = rows.shape[1]
-        store._refs = list(refs)
-        store._by_ref = by_ref
-        store._matrix = rows
-        store._norms = np.sqrt(_row_dots(rows, rows))
-        store._ref_rank = np.empty(len(refs), dtype=np.int64)
-        store._ref_rank[sorted(range(len(refs)), key=store._refs.__getitem__)] = np.arange(len(refs))
-        return store
+        if rows.ndim != 2:
+            raise ValueError(f"expected a matrix, got an array of shape {rows.shape}")
+        self.dim = rows.shape[1]
+        self._matrix = rows
+        self._norms = np.sqrt(_row_dots(rows, rows))
 
     def __len__(self) -> int:
-        return len(self._refs)
-
-    def position(self, ref: str) -> int | None:
-        """Row of ``ref``, the index into ``similarities``."""
-        return self._by_ref.get(ref)
-
-    def ref(self, row: int) -> str:
-        """Ref stored at ``row``."""
-        return self._refs[row]
-
-    def ref_rank(self) -> np.ndarray:
-        """Per row, the position of its ref in ascending ref order."""
-        return self._ref_rank
+        return len(self._matrix)
 
     def similarities(self, query: Sequence[float]) -> np.ndarray:
         """Cosine of ``query`` against every row, in row order; a zero norm

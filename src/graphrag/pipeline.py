@@ -74,7 +74,6 @@ from .embedding import (
     HttpRerankClient,
     RerankClient,
     TokenOverlapReranker,
-    VectorStore,
 )
 from .errors import BenchmarkError, ConfigError, GraphFormatError, IndexingError
 from .evaluation import MetricsReport, aggregate, load_benchmark, score_retrieval
@@ -310,6 +309,8 @@ def read_manifest(index_dir: Path) -> dict:
         raise ConfigError(f"no index at {index_dir}; run `graphrag index` first")
     try:
         manifest = json.loads(path.read_text("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{path}: corrupt manifest (not UTF-8 text: {exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"{path}: corrupt manifest ({exc.msg})") from exc
     if not isinstance(manifest, dict):
@@ -583,19 +584,16 @@ def load_bundle(cfg: PipelineConfig, index_dir: Path | None = None) -> IndexBund
     out = Path(index_dir) if index_dir is not None else cfg.index_dir
     graph, manifest = load_index_graph(out)
     _check_provenance(out, graph)
-    chunk_ids = graph.chunk_ids()
-    chunk_store = VectorStore.from_matrix(
-        chunk_ids, _load_matrix(out, manifest, EMBEDDINGS_NAME, len(chunk_ids), f"chunks of {CHUNKS_NAME}")
-    )
+    chunk_embeddings = _load_matrix(out, manifest, EMBEDDINGS_NAME, graph.chunk_count, f"chunks of {CHUNKS_NAME}")
     communities, report_embeddings = load_communities(out, manifest)
-    dims = {chunk_store.dim, report_embeddings.shape[1]}
+    dims = {chunk_embeddings.shape[1], report_embeddings.shape[1]}
     if dims != {cfg.clients.embed_dim}:
         raise ConfigError(
             f"index at {out} holds {'- and '.join(map(str, sorted(dims)))}-dimensional embeddings but "
             f"clients.embed_dim is {cfg.clients.embed_dim}; rebuild the index or fix the config"
         )
     _check_community_members(graph, communities)
-    return IndexBundle.assemble(graph, communities, report_embeddings, chunk_store)
+    return IndexBundle.assemble(graph, communities, report_embeddings, chunk_embeddings)
 
 
 def run_retrieve(

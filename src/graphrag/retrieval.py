@@ -245,35 +245,34 @@ def select_candidates(
     community_scores: np.ndarray,
     member_rows: np.ndarray,
     member_communities: np.ndarray,
-    ref_rank: np.ndarray,
     k: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Gather candidate chunks from the three channels and keep the best k.
 
-    Arrays run over chunk-store rows: ``graph_scores`` is each chunk's graph
-    channel score, ``sims`` its cosine to the query (None without a query
-    vector), and ``ref_rank`` the rank of its chunk id. ``community_scores``
+    Arrays run over chunk-store rows, which are in chunk id order:
+    ``graph_scores`` is each chunk's graph channel score and ``sims`` its
+    cosine to the query (None without a query vector). ``community_scores``
     runs over communities; ``member_rows[i]`` belongs to community
     ``member_communities[i]``.
 
     Candidates are the chunks with a positive graph score, the top k by
-    cosine (ties by chunk id), and every member of a positively scored
+    cosine (ties by row), and every member of a positively scored
     community. Each chunk's community score is the best score among the
     communities holding it, 0 for none. Each channel is min-max normalized
     over the candidates; the best of the three normalized scores ranks them,
-    ties by chunk id, and the first k are kept. Normalizing over all
+    ties by row, and the first k are kept. Normalizing over all
     candidates means a larger k never drops a kept chunk.
 
     Returns the kept rows in that order and their graph, community and
     vector scores.
     """
-    vector = np.zeros(len(ref_rank)) if sims is None else sims
+    vector = np.zeros(len(graph_scores)) if sims is None else sims
     owner_scores = community_scores[member_communities]
-    community = np.zeros(len(ref_rank))
+    community = np.zeros(len(graph_scores))
     np.maximum.at(community, member_rows, owner_scores)
     mask = graph_scores > 0.0
     if sims is not None:
-        mask[top_rows(sims, ref_rank, k)] = True
+        mask[top_rows(sims, k)] = True
     mask[member_rows[owner_scores > 0.0]] = True
     rows = np.flatnonzero(mask)
     if not len(rows):
@@ -283,7 +282,7 @@ def select_candidates(
         _minmax(community[rows]),
         _minmax(vector[rows]),
     ])
-    kept = rows[top_rows(prefusion, ref_rank[rows], k)]
+    kept = rows[top_rows(prefusion, k)]
     return kept, graph_scores[kept], community[kept], vector[kept]
 
 
@@ -314,10 +313,13 @@ class RetrievalResponse:
 class IndexBundle:
     """Everything retrieve() needs, loaded once per index.
 
-    Row i of ``report_store`` is the report embedding of ``communities[i]``.
+    Row i of ``chunk_store`` is the embedding of chunk ``chunk_ids[i]``,
+    ``chunk_ids`` being ``graph.chunk_ids()`` in ascending order, and
+    ``chunk_rows`` maps each chunk id back to its row. Row i of
+    ``report_store`` is the report embedding of ``communities[i]``.
     ``member_rows`` and ``member_communities`` hold one entry per (chunk,
-    community) membership: the chunk's ``chunk_store`` row and the
-    community's index in ``communities``.
+    community) membership: the chunk's row and the community's index in
+    ``communities``.
     """
 
     graph: KnowledgeGraph
@@ -325,6 +327,8 @@ class IndexBundle:
     chunk_store: VectorStore
     report_store: VectorStore
     trie: EntityTrie
+    chunk_ids: list[str]
+    chunk_rows: dict[str, int]
     member_rows: np.ndarray
     member_communities: np.ndarray
 
@@ -334,26 +338,33 @@ class IndexBundle:
         graph: KnowledgeGraph,
         communities: list[Community],
         report_embeddings: np.ndarray,
-        chunk_store: VectorStore,
+        chunk_embeddings: np.ndarray,
     ) -> "IndexBundle":
-        """Bundle an index whose chunk store holds a row for every chunk of
-        ``graph`` and whose report embeddings, row i for ``communities[i]``,
-        share its dimension."""
+        """Bundle an index from one embedding row per chunk of ``graph``, in
+        chunk id order, and one report embedding row per community, both of
+        one dimension."""
+        chunk_ids = graph.chunk_ids()
+        chunk_rows = {chunk_id: row for row, chunk_id in enumerate(chunk_ids)}
+        chunk_store, report_store = VectorStore(chunk_embeddings), VectorStore(report_embeddings)
+        if (len(chunk_store), len(report_store)) != (len(chunk_ids), len(communities)):
+            raise ValueError("the embeddings need one row per chunk and one per community")
         rows: list[int] = []
         owners: list[int] = []
         for index, community in enumerate(communities):
-            chunk_ids: set[str] = set()
+            members: set[str] = set()
             for node_id in sorted(community.completed_members):
-                chunk_ids |= graph.node(node_id).source_chunks
-            for chunk_id in chunk_ids:
-                rows.append(chunk_store.position(chunk_id))
+                members |= graph.node(node_id).source_chunks
+            for chunk_id in members:
+                rows.append(chunk_rows[chunk_id])
                 owners.append(index)
         return cls(
             graph=graph,
             communities=communities,
             chunk_store=chunk_store,
-            report_store=VectorStore.from_matrix([str(c.id) for c in communities], report_embeddings),
+            report_store=report_store,
             trie=build_trie(graph),
+            chunk_ids=chunk_ids,
+            chunk_rows=chunk_rows,
             member_rows=np.array(rows, dtype=np.int64),
             member_communities=np.array(owners, dtype=np.int64),
         )
@@ -432,17 +443,15 @@ def retrieve(
 
     # gather and cap candidates over chunk-store rows; every chunk's cosine
     # comes from one pass over the store
-    chunk_store = bundle.chunk_store
-    graph_array = np.zeros(len(chunk_store))
+    graph_array = np.zeros(len(bundle.chunk_ids))
     for chunk_id, score in graph_scores.items():
-        graph_array[chunk_store.position(chunk_id)] = score
+        graph_array[bundle.chunk_rows[chunk_id]] = score
     rows, s_graph, s_comm, s_vector = select_candidates(
         graph_array,
-        chunk_store.similarities(query_vec) if query_vec is not None else None,
+        bundle.chunk_store.similarities(query_vec) if query_vec is not None else None,
         community_scores,
         bundle.member_rows,
         bundle.member_communities,
-        chunk_store.ref_rank(),
         cfg.topk_candidates,
     )
     if not len(rows):
@@ -450,20 +459,20 @@ def retrieve(
     fused = fuse(analysis.beta, s_graph, s_comm)
 
     # the owning communities of each kept row, for provenance
-    is_kept = np.zeros(len(chunk_store), dtype=bool)
+    is_kept = np.zeros(len(bundle.chunk_ids), dtype=bool)
     is_kept[rows] = True
     hit = is_kept[bundle.member_rows]
     owners: dict[int, list[int]] = {}
     for row, index in zip(bundle.member_rows[hit].tolist(), bundle.member_communities[hit].tolist()):
         owners.setdefault(row, []).append(bundle.communities[index].id)
 
-    # the reranker sees the candidates in fused order, ties by chunk id
-    order = np.lexsort((chunk_store.ref_rank()[rows], -fused))
+    # the reranker sees the candidates in fused order, ties by row (chunk id)
+    order = np.lexsort((rows, -fused))
     results = []
     for row, graph_score, comm_score, vector_score, fused_score in zip(
         *(values[order].tolist() for values in (rows, s_graph, s_comm, s_vector, fused))
     ):
-        chunk_id = chunk_store.ref(row)
+        chunk_id = bundle.chunk_ids[row]
         chunk = graph.chunk(chunk_id)
         results.append(
             RetrievalResult(

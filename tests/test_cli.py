@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -527,6 +528,46 @@ class TestRetrieveCommand:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {name}:{line}: "), captured.err
         assert says in lines[0]
+
+
+# (file, bytes written to it, the one error line after "error: ", where
+# {path} is the broken file); the YAML cases hold only the keys a broken file
+# needs, since loading stops at the first problem. A section's own checks
+# name the section, not the file.
+MUSEUM_YAML = (MUSEUM / "config.yaml").read_bytes()
+MALFORMED_INPUTS = [
+    ("config.yaml", MUSEUM_YAML + b"# \xff\n", r"{path}: not UTF-8 text \(invalid start byte\)"),
+    ("config.yaml", b"schema: [1\n", r"{path}: invalid YAML \(.*',' or '\]'.*, line [12]\)"),
+    ("config.yaml", b"clients:\n\tmode: stub\n",
+     r"{path}: invalid YAML \(found character .*that cannot start any token, line 2\)"),
+    ("config.yaml", b"schema: \x07\n", r"{path}: invalid YAML \((control|special) characters are not allowed\)"),
+    ("config.yaml", b"1: a\nfoo: b\n", r"{path}: unknown keys \[1, 'foo'\]"),
+    ("config.yaml", MUSEUM_YAML + b"\nchunking:\n  1: a\n  foo: b\n", r"chunking: unknown keys \[1, 'foo'\]"),
+    ("config.yaml", MUSEUM_YAML + b"\nchunking: [max_chars]\n", r"chunking must be a mapping, got list"),
+    ("config.yaml", MUSEUM_YAML + b"\nfusion: w1\n", r"fusion must be a mapping, got str"),
+    ("manifest.json", b'{"format_version": \xff}', r"{path}: corrupt manifest \(not UTF-8 text: invalid start byte\)"),
+    ("manifest.json", b"{", r"{path}: corrupt manifest \(Expecting property name enclosed in double quotes\)"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,data,says",
+    MALFORMED_INPUTS,
+    ids=["config-not-utf8", "yaml-flow-sequence", "yaml-tab-indent", "yaml-control-character",
+         "config-mixed-keys", "section-mixed-keys", "section-list", "section-string", "manifest-not-utf8",
+         "manifest-not-json"],
+)
+def test_malformed_config_or_manifest_is_one_error_line(museum_index, tmp_path, capsys, name, data, says):
+    index = tmp_path / "index"
+    shutil.copytree(museum_index, index)
+    config = tmp_path / "config.yaml"
+    config.write_bytes(MUSEUM_YAML)
+    broken = config if name == "config.yaml" else index / name
+    broken.write_bytes(data)
+    assert run(["retrieve", "--config", config, "--index", index, "--query", "warring states"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert re.fullmatch("error: " + says.format(path=re.escape(str(broken))) + "\n", captured.err), captured.err
 
 
 class TestEvalCommand:

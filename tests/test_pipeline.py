@@ -36,6 +36,7 @@ from graphrag.pipeline import (
     save_communities,
 )
 from graphrag.records import FORMAT_VERSION
+from graphrag.retrieval import IndexBundle
 
 
 class TestReadCorpus:
@@ -426,13 +427,14 @@ class TestEmbeddingsMatrix:
     def test_matrix_is_the_embedder_output(self, museum_cfg, museum_index):
         bundle = load_bundle(museum_cfg, museum_index)
         chunk_ids = bundle.graph.chunk_ids()
-        store = bundle.chunk_store
-        assert [store.ref(row) for row in range(len(store))] == chunk_ids
+        assert bundle.chunk_ids == chunk_ids
+        assert bundle.chunk_rows == {cid: row for row, cid in enumerate(chunk_ids)}
         embedder = HashingEmbedder(museum_cfg.clients.embed_dim)
         want = embedder.embed([bundle.graph.chunk(cid).text for cid in chunk_ids])
-        assert np.array_equal(store._matrix, np.array(want))
+        assert np.array_equal(bundle.chunk_store._matrix, np.array(want))
         # report row i embeds the summary of community i
         _, record = map(json.loads, (museum_index / "reports.jsonl").read_text("utf-8").splitlines())
+        assert len(bundle.report_store) == len(bundle.communities) == len(record["summary"])
         assert np.array_equal(bundle.report_store._matrix, np.array(embedder.embed(record["summary"])))
 
 
@@ -622,15 +624,16 @@ class TestRetrieveAndEval:
         assert bundle.graph.node_count == 10
         assert len(bundle.communities) == 5
         assert len(bundle.trie) > 0
-        # report store row i is community i
-        store = bundle.report_store
-        assert [store.ref(row) for row in range(len(store))] == [str(c.id) for c in bundle.communities]
+        # one chunk row per chunk in chunk id order, one report row per community
+        assert bundle.chunk_ids == bundle.graph.chunk_ids()
+        assert len(bundle.chunk_store) == bundle.graph.chunk_count
+        assert len(bundle.report_store) == len(bundle.communities)
+        assert [c.id for c in bundle.communities] == list(range(len(bundle.communities)))
         # the flat membership arrays hold each (community, chunk) pair once:
         # every chunk with provenance in a community's completed members,
         # and every community owns at least one chunk
-        chunks = bundle.chunk_store
         pairs = [
-            (index, chunks.ref(row))
+            (index, bundle.chunk_ids[row])
             for row, index in zip(bundle.member_rows.tolist(), bundle.member_communities.tolist())
         ]
         assert len(pairs) == len(set(pairs))
@@ -642,6 +645,13 @@ class TestRetrieveAndEval:
         }
         assert set(pairs) == want
         assert {index for index, _ in pairs} == set(range(len(bundle.communities)))
+
+    def test_assemble_needs_a_row_per_chunk_and_community(self, museum_cfg, museum_index):
+        bundle = load_bundle(museum_cfg, museum_index)
+        reports, chunks = bundle.report_store._matrix, bundle.chunk_store._matrix
+        for report_rows, chunk_rows in ((reports[1:], chunks), (reports, chunks[1:]), (reports, np.eye(3))):
+            with pytest.raises(ValueError, match="one row per chunk and one per community"):
+                IndexBundle.assemble(bundle.graph, bundle.communities, report_rows, chunk_rows)
 
 
 class TestAtomicWrites:

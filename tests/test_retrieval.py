@@ -241,7 +241,7 @@ def tied_scores(lo: float):
 
 class TestCommunityChannel:
     def test_negative_cosine_clamped(self):
-        store = VectorStore.from_matrix(["0", "1", "2"], np.array([[-1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+        store = VectorStore(np.array([[-1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
         scores = score_community_channel(np.array([1.0, 0.0]), store)
         assert scores.tolist() == [0.0, 0.0, cosine([1.0, 0.0], [1.0, 1.0])]
 
@@ -267,7 +267,6 @@ class TestFuse:
             np.array([0.2, 0.9]),
             np.array([0, 1, 1]),
             np.array([0, 0, 1]),
-            np.arange(3),
             3,
         )
         assert kept.tolist() == [0, 1, 2] and s_comm.tolist() == [0.2, 0.9, 0.0]
@@ -288,7 +287,7 @@ class TestFuse:
     def test_membership_in_unscored_community_counts_zero(self):
         # chunk a belongs only to community 1, which scores 0
         _, s_graph, s_comm, _ = select_candidates(
-            np.array([1.0, 0.5]), None, np.array([1.0, 0.0]), np.array([1, 0]), np.array([0, 1]), np.arange(2), 2
+            np.array([1.0, 0.5]), None, np.array([1.0, 0.0]), np.array([1, 0]), np.array([0, 1]), 2
         )
         assert s_graph.tolist() == [1.0, 0.5] and s_comm.tolist() == [0.0, 1.0]
         fused = fuse(0.5, s_graph, s_comm)
@@ -297,13 +296,12 @@ class TestFuse:
 
 @st.composite
 def candidate_inputs(draw):
-    """Chunks stored in an order unlike their ids, graph and vector scores
-    with ties, communities (some scoring zero, some empty) over random chunk
-    subsets or every chunk, an ablated channel or a dead embedder, and a
-    cap k."""
+    """Chunks stored in id order (zero-padded ids, so the oracle's id
+    tie-break is the row tie-break), graph and vector scores with ties,
+    communities (some scoring zero, some empty) over random chunk subsets or
+    every chunk, an ablated channel or a dead embedder, and a cap k."""
     n = draw(st.integers(1, 30))
     ids = [f"c{i:02d}" for i in range(n)]
-    rows = draw(st.permutations(ids))
     mode = draw(st.sampled_from(("all", "ablate graph", "ablate community", "dead embedder")))
     graph = {} if mode == "ablate graph" else {
         cid: draw(tied_scores(0.0)) for cid in draw(st.lists(st.sampled_from(ids), unique=True))
@@ -316,7 +314,7 @@ def candidate_inputs(draw):
     scores = [draw(tied_scores(0.0)) for _ in members]
     if mode in ("ablate community", "dead embedder"):
         scores = [0.0] * len(members)
-    return rows, graph, vector, members, scores, draw(st.integers(1, n + 3))
+    return ids, graph, vector, members, scores, draw(st.integers(1, n + 3))
 
 
 class TestSelectCandidates:
@@ -325,13 +323,12 @@ class TestSelectCandidates:
 
     @given(candidate_inputs())
     def test_matches_dict_reference(self, case):
-        rows, graph, vector, members, scores, k = case
-        position = {cid: row for row, cid in enumerate(rows)}
-        graph_array = np.zeros(len(rows))
+        ids, graph, vector, members, scores, k = case
+        position = {cid: row for row, cid in enumerate(ids)}
+        graph_array = np.zeros(len(ids))
         for cid, score in graph.items():
             graph_array[position[cid]] = score
-        sims = None if vector is None else np.array([vector[cid] for cid in rows])
-        ref_rank = np.array([sorted(rows).index(cid) for cid in rows])
+        sims = None if vector is None else np.array([vector[cid] for cid in ids])
         pairs = [(position[cid], index) for index, chunks in enumerate(members) for cid in chunks]
         kept, s_graph, s_comm, s_vector = select_candidates(
             graph_array,
@@ -339,10 +336,9 @@ class TestSelectCandidates:
             np.array(scores, dtype=np.float64),
             np.array([row for row, _ in pairs], dtype=np.int64),
             np.array([index for _, index in pairs], dtype=np.int64),
-            ref_rank,
             k,
         )
-        got = list(zip([rows[r] for r in kept.tolist()], s_graph.tolist(), s_comm.tolist(), s_vector.tolist()))
+        got = list(zip([ids[r] for r in kept.tolist()], s_graph.tolist(), s_comm.tolist(), s_vector.tolist()))
 
         memberships: dict[str, frozenset[int]] = {}
         for index, chunks in enumerate(members):
