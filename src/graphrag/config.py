@@ -340,7 +340,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         unknown = set(ablate) - set(ABLATABLE)
         if unknown:
             raise ConfigError(f"ablate: unknown toggles {sorted(unknown)} (known: {ABLATABLE})")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ConfigError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
     return PipelineConfig(

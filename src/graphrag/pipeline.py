@@ -114,9 +114,12 @@ def read_corpus(path: Path) -> list[tuple[str, str]]:
         files = sorted(p for p in path.iterdir() if p.suffix in (".txt", ".md"))
         for p in files:
             try:
-                documents.append((p.stem, p.read_text("utf-8")))
+                text = p.read_text("utf-8")
             except UnicodeDecodeError as exc:
                 raise IndexingError(f"{p}: not UTF-8 text ({exc.reason})") from exc
+            if not text.strip():
+                raise IndexingError(f"{p}: document text is empty")
+            documents.append((p.stem, text))
     elif path.is_file():
         for i, record in enumerate(read_input(path, IndexingError)):
             if not isinstance(record, dict):

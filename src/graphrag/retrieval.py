@@ -190,25 +190,24 @@ def compute_beta(query: str, trie: EntityTrie, cfg: FusionConfig | None = None) 
 def graph_channel_scores(
     analysis: QueryAnalysis,
     graph: KnowledgeGraph,
+    node_rows: dict[int, np.ndarray],
+    chunk_count: int,
     khop: int = 2,
-) -> tuple[dict[str, float], dict[str, set[str]]]:
-    """Graph-channel score of every chunk near a linked entity: the sum over
-    linked entities of confidence times the fraction of the entity's k-hop
-    neighborhood with provenance in the chunk. Also returns, per chunk, the
-    names of the linked entities that contributed. Chunks with no such
-    provenance are absent."""
-    scores: dict[str, float] = {}
-    provenance: dict[str, set[str]] = {}
+) -> tuple[np.ndarray, list[tuple[str, np.ndarray]]]:
+    """Graph-channel score of every chunk-store row: the sum over linked
+    entities of confidence times the fraction of the entity's k-hop
+    neighborhood with provenance in the chunk, ``node_rows`` holding each
+    node's provenance as rows. Each link adds one ``bincount`` of the rows
+    its neighborhood reaches. Also returns, per link, the entity's name and
+    the mask of the rows it reached; rows no link reaches score 0."""
+    scores = np.zeros(chunk_count)
+    reach: list[tuple[str, np.ndarray]] = []
     for link in analysis.linked_entities:
         reached = graph.neighborhood(link.node_id, khop)
-        presence: Counter[str] = Counter()
-        for node_id in reached:
-            presence.update(graph.node(node_id).source_chunks)
-        entity_name = graph.node(link.node_id).name
-        for chunk_id, count in sorted(presence.items()):
-            scores[chunk_id] = scores.get(chunk_id, 0.0) + link.confidence * count / len(reached)
-            provenance.setdefault(chunk_id, set()).add(entity_name)
-    return scores, provenance
+        counts = np.bincount(np.concatenate([node_rows[node_id] for node_id in reached]), minlength=chunk_count)
+        scores += link.confidence * counts / len(reached)
+        reach.append((graph.node(link.node_id).name, counts > 0))
+    return scores, reach
 
 
 def score_community_channel(query_vector: np.ndarray, report_store: VectorStore) -> np.ndarray:
@@ -313,22 +312,22 @@ class RetrievalResponse:
 class IndexBundle:
     """Everything retrieve() needs, loaded once per index.
 
-    Row i of ``chunk_store`` is the embedding of chunk ``chunk_ids[i]``,
-    ``chunk_ids`` being ``graph.chunk_ids()`` in ascending order, and
-    ``chunk_rows`` maps each chunk id back to its row. Row i of
-    ``report_store`` is the report embedding of ``communities[i]``.
+    Chunks are addressed by chunk-store row: row i of ``chunk_store`` is the
+    embedding of chunk ``chunk_ids[i]``, ``chunk_ids`` being
+    ``graph.chunk_ids()`` in ascending order. ``node_rows`` maps each node id
+    to the ascending rows of its provenance chunks. Row i of
+    ``report_store`` is the report embedding of community i.
     ``member_rows`` and ``member_communities`` hold one entry per (chunk,
-    community) membership: the chunk's row and the community's index in
-    ``communities``.
+    community) membership: the chunk's row and the community's index, rows
+    ascending within each community.
     """
 
     graph: KnowledgeGraph
-    communities: list[Community]
     chunk_store: VectorStore
     report_store: VectorStore
     trie: EntityTrie
     chunk_ids: list[str]
-    chunk_rows: dict[str, int]
+    node_rows: dict[int, np.ndarray]
     member_rows: np.ndarray
     member_communities: np.ndarray
 
@@ -342,31 +341,33 @@ class IndexBundle:
     ) -> "IndexBundle":
         """Bundle an index from one embedding row per chunk of ``graph``, in
         chunk id order, and one report embedding row per community, both of
-        one dimension."""
+        one dimension. Community i must have id i."""
         chunk_ids = graph.chunk_ids()
-        chunk_rows = {chunk_id: row for row, chunk_id in enumerate(chunk_ids)}
         chunk_store, report_store = VectorStore(chunk_embeddings), VectorStore(report_embeddings)
         if (len(chunk_store), len(report_store)) != (len(chunk_ids), len(communities)):
             raise ValueError("the embeddings need one row per chunk and one per community")
-        rows: list[int] = []
-        owners: list[int] = []
-        for index, community in enumerate(communities):
-            members: set[str] = set()
-            for node_id in sorted(community.completed_members):
-                members |= graph.node(node_id).source_chunks
-            for chunk_id in members:
-                rows.append(chunk_rows[chunk_id])
-                owners.append(index)
+        row_of = {chunk_id: row for row, chunk_id in enumerate(chunk_ids)}
+        node_rows = {
+            node.id: np.array([row_of[chunk_id] for chunk_id in sorted(node.source_chunks)], dtype=np.int64)
+            for node in graph.nodes()
+        }
+        # not np.unique, which imports numpy.ma (about 11 ms) on first use
+        members = [
+            np.flatnonzero(np.bincount(
+                np.concatenate([node_rows[node_id] for node_id in community.completed_members]),
+                minlength=len(chunk_ids),
+            ))
+            for community in communities
+        ]
         return cls(
             graph=graph,
-            communities=communities,
             chunk_store=chunk_store,
             report_store=report_store,
             trie=build_trie(graph),
             chunk_ids=chunk_ids,
-            chunk_rows=chunk_rows,
-            member_rows=np.array(rows, dtype=np.int64),
-            member_communities=np.array(owners, dtype=np.int64),
+            node_rows=node_rows,
+            member_rows=np.concatenate(members) if members else np.zeros(0, dtype=np.int64),
+            member_communities=np.repeat(np.arange(len(members), dtype=np.int64), list(map(len, members))),
         )
 
 
@@ -431,23 +432,20 @@ def retrieve(
         log.warning(diagnostics[-1])
 
     # community channel over whole communities, in community order
-    community_scores = np.zeros(len(bundle.communities))
+    community_scores = np.zeros(len(bundle.report_store))
     if query_vec is not None and not ablate_community:
         community_scores = score_community_channel(query_vec, bundle.report_store)
 
     # graph channel over chunks with provenance near linked entities
-    graph_scores: dict[str, float] = {}
-    provenance_entities: dict[str, set[str]] = {}
+    graph_scores = np.zeros(len(bundle.chunk_ids))
+    reach: list[tuple[str, np.ndarray]] = []
     if not ablate_graph:
-        graph_scores, provenance_entities = graph_channel_scores(analysis, graph, cfg.khop)
+        graph_scores, reach = graph_channel_scores(analysis, graph, bundle.node_rows, len(bundle.chunk_ids), cfg.khop)
 
     # gather and cap candidates over chunk-store rows; every chunk's cosine
     # comes from one pass over the store
-    graph_array = np.zeros(len(bundle.chunk_ids))
-    for chunk_id, score in graph_scores.items():
-        graph_array[bundle.chunk_rows[chunk_id]] = score
     rows, s_graph, s_comm, s_vector = select_candidates(
-        graph_array,
+        graph_scores,
         bundle.chunk_store.similarities(query_vec) if query_vec is not None else None,
         community_scores,
         bundle.member_rows,
@@ -457,14 +455,6 @@ def retrieve(
     if not len(rows):
         return RetrievalResponse(analysis=analysis, results=(), diagnostics=tuple(diagnostics))
     fused = fuse(analysis.beta, s_graph, s_comm)
-
-    # the owning communities of each kept row, for provenance
-    is_kept = np.zeros(len(bundle.chunk_ids), dtype=bool)
-    is_kept[rows] = True
-    hit = is_kept[bundle.member_rows]
-    owners: dict[int, list[int]] = {}
-    for row, index in zip(bundle.member_rows[hit].tolist(), bundle.member_communities[hit].tolist()):
-        owners.setdefault(row, []).append(bundle.communities[index].id)
 
     # the reranker sees the candidates in fused order, ties by row (chunk id)
     order = np.lexsort((rows, -fused))
@@ -485,8 +475,9 @@ def retrieve(
                 fused=fused_score,
                 rerank_score=fused_score,
                 provenance={
-                    "entities": sorted(provenance_entities.get(chunk_id, ())),
-                    "communities": sorted(owners.get(row, ())),
+                    "entities": sorted({name for name, reached in reach if reached[row]}),
+                    # a community's index is its id, and member_communities ascends
+                    "communities": bundle.member_communities[bundle.member_rows == row].tolist(),
                 },
             )
         )

@@ -427,6 +427,28 @@ def fuse_ref(beta: float, graph_scores: Mapping[str, float], community_scores: M
     return {cid: beta * ng[cid] + (1.0 - beta) * nc[cid] for cid in graph_scores}
 
 
+def graph_channel_scores_ref(links, graph, khop: int) -> tuple[dict[str, float], dict[str, set[str]]]:
+    """The graph channel over dicts keyed by chunk id. For each link (an
+    object with ``node_id`` and ``confidence``), in order, every chunk cited
+    by c of the n nodes in the link's k-hop ball gains confidence * c / n,
+    and the linked node's name joins the chunk's provenance. The ball is
+    ``khop_nodes`` over the graph's edges; chunks no ball cites are absent."""
+    pairs = [(edge.head, edge.tail) for edge in graph.edges()]
+    scores: dict[str, float] = {}
+    provenance: dict[str, set[str]] = {}
+    for link in links:
+        reached = khop_nodes(pairs, link.node_id, khop)
+        presence: dict[str, int] = {}
+        for node_id in reached:
+            for chunk_id in graph.node(node_id).source_chunks:
+                presence[chunk_id] = presence.get(chunk_id, 0) + 1
+        name = graph.node(link.node_id).name
+        for chunk_id, count in sorted(presence.items()):
+            scores[chunk_id] = scores.get(chunk_id, 0.0) + link.confidence * count / len(reached)
+            provenance.setdefault(chunk_id, set()).add(name)
+    return scores, provenance
+
+
 def select_candidates_ref(
     graph_scores: Mapping[str, float],
     vector_scores: Mapping[str, float] | None,

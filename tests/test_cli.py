@@ -199,6 +199,16 @@ class TestIndexCommand:
         assert "Traceback" not in captured.err + captured.out
         assert not (workspace / "index" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("text", ["", "  \n"], ids=["empty", "whitespace"])
+    def test_blank_corpus_file_is_a_clean_error(self, workspace, capsys, text):
+        (workspace / "corpus" / "blank.md").write_text(text, "utf-8")
+        assert run(["index", "--config", workspace / "config.yaml"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "blank.md: document text is empty" in lines[0]
+        assert "Traceback" not in captured.err + captured.out
+        assert not (workspace / "index" / "manifest.json").exists()
+
     def test_lone_surrogate_in_corpus_is_a_clean_error(self, workspace, capsys):
         docs = sorted((workspace / "corpus").iterdir())
         records = [{"id": p.stem, "text": p.read_text("utf-8")} for p in docs]
@@ -533,7 +543,7 @@ class TestRetrieveCommand:
 # (file, bytes written to it, the one error line after "error: ", where
 # {path} is the broken file); the YAML cases hold only the keys a broken file
 # needs, since loading stops at the first problem. A section's own checks
-# name the section, not the file.
+# name the file, then the section.
 MUSEUM_YAML = (MUSEUM / "config.yaml").read_bytes()
 MALFORMED_INPUTS = [
     ("config.yaml", MUSEUM_YAML + b"# \xff\n", r"{path}: not UTF-8 text \(invalid start byte\)"),
@@ -542,9 +552,11 @@ MALFORMED_INPUTS = [
      r"{path}: invalid YAML \(found character .*that cannot start any token, line 2\)"),
     ("config.yaml", b"schema: \x07\n", r"{path}: invalid YAML \((control|special) characters are not allowed\)"),
     ("config.yaml", b"1: a\nfoo: b\n", r"{path}: unknown keys \[1, 'foo'\]"),
-    ("config.yaml", MUSEUM_YAML + b"\nchunking:\n  1: a\n  foo: b\n", r"chunking: unknown keys \[1, 'foo'\]"),
-    ("config.yaml", MUSEUM_YAML + b"\nchunking: [max_chars]\n", r"chunking must be a mapping, got list"),
-    ("config.yaml", MUSEUM_YAML + b"\nfusion: w1\n", r"fusion must be a mapping, got str"),
+    ("config.yaml", MUSEUM_YAML + b"\nchunking:\n  1: a\n  foo: b\n", r"{path}: chunking: unknown keys \[1, 'foo'\]"),
+    ("config.yaml", MUSEUM_YAML + b"\nchunking: [max_chars]\n", r"{path}: chunking must be a mapping, got list"),
+    ("config.yaml", MUSEUM_YAML + b"\nfusion: w1\n", r"{path}: fusion must be a mapping, got str"),
+    ("config.yaml", MUSEUM_YAML + b"\nfusion: {final_k: 0}\n", r"{path}: fusion\.final_k must be .*, got 0"),
+    ("config.yaml", MUSEUM_YAML + b"\nablate: [vector]\n", r"{path}: ablate: unknown toggles \['vector'\] .*"),
     ("manifest.json", b'{"format_version": \xff}', r"{path}: corrupt manifest \(not UTF-8 text: invalid start byte\)"),
     ("manifest.json", b"{", r"{path}: corrupt manifest \(Expecting property name enclosed in double quotes\)"),
 ]
@@ -554,8 +566,8 @@ MALFORMED_INPUTS = [
     "name,data,says",
     MALFORMED_INPUTS,
     ids=["config-not-utf8", "yaml-flow-sequence", "yaml-tab-indent", "yaml-control-character",
-         "config-mixed-keys", "section-mixed-keys", "section-list", "section-string", "manifest-not-utf8",
-         "manifest-not-json"],
+         "config-mixed-keys", "section-mixed-keys", "section-list", "section-string", "section-value",
+         "ablate-unknown", "manifest-not-utf8", "manifest-not-json"],
 )
 def test_malformed_config_or_manifest_is_one_error_line(museum_index, tmp_path, capsys, name, data, says):
     index = tmp_path / "index"

@@ -322,7 +322,8 @@ class TestArtifactFormat:
         (out / "report_embeddings.npy").write_bytes(npy_bytes(np.zeros((0, museum_cfg.clients.embed_dim))))
         redigest(out, "communities.jsonl", "reports.jsonl", "report_embeddings.npy")
         bundle = load_bundle(museum_cfg, out)
-        assert bundle.communities == [] and len(bundle.report_store) == 0
+        assert load_communities(out, read_manifest(out))[0] == [] and len(bundle.report_store) == 0
+        assert len(bundle.member_rows) == len(bundle.member_communities) == 0
         response = run_retrieve(museum_cfg, "warring states bronze", index_dir=out)
         assert response.results
         assert all(r.s_comm == 0.0 and r.provenance["communities"] == [] for r in response.results)
@@ -428,13 +429,13 @@ class TestEmbeddingsMatrix:
         bundle = load_bundle(museum_cfg, museum_index)
         chunk_ids = bundle.graph.chunk_ids()
         assert bundle.chunk_ids == chunk_ids
-        assert bundle.chunk_rows == {cid: row for row, cid in enumerate(chunk_ids)}
         embedder = HashingEmbedder(museum_cfg.clients.embed_dim)
         want = embedder.embed([bundle.graph.chunk(cid).text for cid in chunk_ids])
         assert np.array_equal(bundle.chunk_store._matrix, np.array(want))
         # report row i embeds the summary of community i
         _, record = map(json.loads, (museum_index / "reports.jsonl").read_text("utf-8").splitlines())
-        assert len(bundle.report_store) == len(bundle.communities) == len(record["summary"])
+        communities, _ = load_communities(museum_index, read_manifest(museum_index))
+        assert len(bundle.report_store) == len(communities) == len(record["summary"])
         assert np.array_equal(bundle.report_store._matrix, np.array(embedder.embed(record["summary"])))
 
 
@@ -573,7 +574,7 @@ class TestClustering:
         with pytest.raises(GraphFormatError, match="not clustered from .*rebuild with --force"):
             load_bundle(museum_cfg, out)
         run_clustering(museum_cfg, force=True, index_dir=out)
-        assert load_bundle(museum_cfg, out).communities
+        assert len(load_bundle(museum_cfg, out).report_store) == len(load_communities(out, read_manifest(out))[0]) == 5
 
     def test_unknown_multihop_root(self, museum_cfg, museum_index):
         graph, _ = load_index_graph(museum_index)
@@ -621,17 +622,25 @@ class TestRetrieveAndEval:
 
     def test_bundle_assembly(self, museum_cfg, museum_index):
         bundle = load_bundle(museum_cfg, museum_index)
+        communities, _ = load_communities(museum_index, read_manifest(museum_index))
         assert bundle.graph.node_count == 10
-        assert len(bundle.communities) == 5
+        assert len(communities) == 5
         assert len(bundle.trie) > 0
         # one chunk row per chunk in chunk id order, one report row per community
         assert bundle.chunk_ids == bundle.graph.chunk_ids()
         assert len(bundle.chunk_store) == bundle.graph.chunk_count
-        assert len(bundle.report_store) == len(bundle.communities)
-        assert [c.id for c in bundle.communities] == list(range(len(bundle.communities)))
-        # the flat membership arrays hold each (community, chunk) pair once:
-        # every chunk with provenance in a community's completed members,
-        # and every community owns at least one chunk
+        assert len(bundle.report_store) == len(communities)
+        assert [c.id for c in communities] == list(range(len(communities)))
+        # each node's provenance as ascending chunk rows
+        assert set(bundle.node_rows) == set(bundle.graph.node_ids())
+        for node in bundle.graph.nodes():
+            assert [bundle.chunk_ids[row] for row in bundle.node_rows[node.id].tolist()] == sorted(node.source_chunks)
+        # the flat membership arrays hold each (community, chunk) pair once,
+        # rows strictly ascending within a community: every chunk with
+        # provenance in a community's completed members, and every community
+        # owns at least one chunk
+        for index in range(len(communities)):
+            assert np.all(np.diff(bundle.member_rows[bundle.member_communities == index]) > 0)
         pairs = [
             (index, bundle.chunk_ids[row])
             for row, index in zip(bundle.member_rows.tolist(), bundle.member_communities.tolist())
@@ -639,19 +648,20 @@ class TestRetrieveAndEval:
         assert len(pairs) == len(set(pairs))
         want = {
             (index, chunk_id)
-            for index, community in enumerate(bundle.communities)
+            for index, community in enumerate(communities)
             for node_id in community.completed_members
             for chunk_id in bundle.graph.node(node_id).source_chunks
         }
         assert set(pairs) == want
-        assert {index for index, _ in pairs} == set(range(len(bundle.communities)))
+        assert {index for index, _ in pairs} == set(range(len(communities)))
 
     def test_assemble_needs_a_row_per_chunk_and_community(self, museum_cfg, museum_index):
         bundle = load_bundle(museum_cfg, museum_index)
+        communities, _ = load_communities(museum_index, read_manifest(museum_index))
         reports, chunks = bundle.report_store._matrix, bundle.chunk_store._matrix
         for report_rows, chunk_rows in ((reports[1:], chunks), (reports, chunks[1:]), (reports, np.eye(3))):
             with pytest.raises(ValueError, match="one row per chunk and one per community"):
-                IndexBundle.assemble(bundle.graph, bundle.communities, report_rows, chunk_rows)
+                IndexBundle.assemble(bundle.graph, communities, report_rows, chunk_rows)
 
 
 class TestAtomicWrites:

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from conftest import random_graph
 from graphrag.embedding import HashingEmbedder, TokenOverlapReranker, VectorStore, cosine
 from graphrag.errors import QueryError
 from graphrag.graph_store import Chunk, KnowledgeGraph
@@ -18,6 +19,7 @@ from graphrag.pipeline import load_bundle, make_clients
 from graphrag.retrieval import (
     EntityLink,
     FusionConfig,
+    IndexBundle,
     QueryAnalysis,
     RetrievalResult,
     build_trie,
@@ -204,6 +206,34 @@ class TestComputeBeta:
         assert skewed.beta > uniform.beta
 
 
+def bundle_of(graph: KnowledgeGraph) -> IndexBundle:
+    """An IndexBundle over ``graph`` with no communities and unit chunk
+    embeddings; only its rows matter to the graph channel."""
+    return IndexBundle.assemble(graph, [], np.zeros((0, 2)), np.ones((graph.chunk_count, 2)))
+
+
+@st.composite
+def provenance_graphs(draw):
+    """A ``random_graph`` whose nodes cite random subsets of a small chunk
+    pool, so nodes share chunks and some nodes cite none, with links in
+    spans: a span of several node ids is ambiguous and splits its coverage,
+    and a node may be linked by more than one span."""
+    graph, ids = random_graph(draw(st.randoms(use_true_random=False)), 8, edge_p=0.3)
+    chunk_ids = [f"d@{100 * i:08d}" for i in range(draw(st.integers(1, 6)))]
+    for chunk_id in chunk_ids:
+        graph.add_chunk(Chunk(id=chunk_id, document_id="d", text=chunk_id, char_offset=int(chunk_id[2:])))
+    for node_id in ids:
+        node = graph.node(node_id)
+        for chunk_id in draw(st.lists(st.sampled_from(chunk_ids), max_size=3)):
+            graph.upsert_node(node.name, node.entity_type, chunk=chunk_id)
+    links = []
+    for start in range(draw(st.integers(0, 4))):
+        span_ids = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3, unique=True))
+        coverage = draw(st.floats(0.01, 1.0))
+        links += [EntityLink(node_id=i, span=(start, start + 1), confidence=coverage / len(span_ids)) for i in span_ids]
+    return graph, links
+
+
 class TestGraphChannel:
     def test_hand_value(self):
         g = KnowledgeGraph()
@@ -216,22 +246,21 @@ class TestGraphChannel:
         g.add_chunk(Chunk(id="d@00000000", document_id="d", text="ab", char_offset=0))
         g.add_chunk(Chunk(id="d@00000100", document_id="d", text="bc", char_offset=100))
         analysis = make_analysis([EntityLink(node_id=a, span=(0, 1), confidence=0.5)])
-        scores, provenance = graph_channel_scores(analysis, g, khop=1)
-        # 1-hop around a = {a, b}; both carry the first chunk
-        assert scores["d@00000000"] == pytest.approx(0.5)
-        # only b of {a, b} carries the second
-        assert scores["d@00000100"] == pytest.approx(0.25)
-        assert provenance == {"d@00000000": {"a"}, "d@00000100": {"a"}}
+        scores, reach = graph_channel_scores(analysis, g, bundle_of(g).node_rows, 2, khop=1)
+        # 1-hop around a = {a, b}; both carry the first chunk (row 0), only
+        # b carries the second (row 1)
+        assert scores.tolist() == [0.5, 0.25]
+        assert [(name, mask.tolist()) for name, mask in reach] == [("a", [True, True])]
 
-    def test_unknown_chunk(self):
-        g = KnowledgeGraph()
-        a = g.upsert_node("a", "T", chunk="d@00000000")
-        scores, provenance = graph_channel_scores(
-            make_analysis([EntityLink(node_id=a, span=(0, 1), confidence=1.0)]), g
-        )
-        assert "missing@00000000" not in scores
-        assert "missing@00000000" not in provenance
-        assert scores == {"d@00000000": 1.0}
+    @given(provenance_graphs(), st.integers(0, 3))
+    def test_matches_dict_reference(self, case, khop):
+        graph, links = case
+        bundle = bundle_of(graph)
+        scores, reach = graph_channel_scores(make_analysis(links), graph, bundle.node_rows, graph.chunk_count, khop)
+        want_scores, want_provenance = oracles.graph_channel_scores_ref(links, graph, khop)
+        for row, chunk_id in enumerate(bundle.chunk_ids):
+            assert scores[row] == want_scores.get(chunk_id, 0.0)
+            assert {name for name, mask in reach if mask[row]} == want_provenance.get(chunk_id, set())
 
 
 def tied_scores(lo: float):
